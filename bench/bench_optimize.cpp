@@ -17,10 +17,11 @@
 //                   ranking never loses to spreading the budget blindly
 //                   (gated with --min yield_gain_vs_uniform=1.0), and a
 //                   seed-replay must reproduce the plan bit for bit;
-//   top-K         — Lawler peeling latency for k cycles at n = 1024
-//                   events, with bit-identity checks across thread counts
-//                   and lane widths and the rank-order invariants (rank 1
-//                   has zero slack, ratios never increase).
+//   top-K         — lazy Lawler peeling latency for k cycles at n = 1024
+//                   events, with its subproblem solve count, bit-identity
+//                   checks across thread counts and lane widths and the
+//                   rank-order invariants (rank 1 has zero slack, ratios
+//                   never increase).
 //
 // Any replay or identity violation counts in `mismatches`, gated at zero.
 //
@@ -336,6 +337,7 @@ int main(int argc, char** argv)
     reporter.record("yield_gain_vs_uniform", yield_gain, "ratio");
     reporter.record("topk_latency_ms", topk_seconds * 1e3, "ms");
     reporter.record("topk_reports_per_second", topk_rate, "1/s");
+    reporter.record("topk_solves", static_cast<double>(topk_first.solves), "count");
     reporter.record("mismatches", static_cast<double>(mismatches), "count");
     return mismatches == 0 ? 0 : 1;
 }

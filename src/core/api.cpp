@@ -809,7 +809,8 @@ std::vector<edit_batch_status> run_edit_script(incremental_engine& eng,
 
 std::string edit_run_json(incremental_engine& eng, const edit_script& script,
                           const rational& nominal, bool nominal_cyclic,
-                          const std::vector<edit_batch_status>& statuses)
+                          const std::vector<edit_batch_status>& statuses,
+                          unsigned max_threads)
 {
     const signal_graph& sg = eng.graph();
     std::ostringstream os;
@@ -857,7 +858,9 @@ std::string edit_run_json(incremental_engine& eng, const edit_script& script,
             os << (i ? ", " : "") << json_quote(sg.event(pert.critical_path[i]).name);
         os << "]";
     } else {
-        const cycle_time_result ct = eng.analyze();
+        analysis_options options;
+        options.max_threads = max_threads;
+        const cycle_time_result ct = eng.analyze(options);
         os << "\"cyclic\": true, \"cycle_time\": ";
         append_exact(os, ct.cycle_time);
         os << ", \"critical_occurrence_period\": " << ct.critical_occurrence_period;
@@ -1141,10 +1144,13 @@ std::string execute_edit_payload(const analysis_request& request, incremental_en
             "bad_request: execute_edit_payload needs an edit request");
     const edit_script script = parse_edit_script(request.edits, engine.graph());
     const bool nominal_cyclic = !engine.graph().repetitive_events().empty();
-    const rational nominal = nominal_cyclic ? engine.analyze().cycle_time
+    analysis_options options;
+    options.max_threads = request.options.max_threads;
+    const rational nominal = nominal_cyclic ? engine.analyze(options).cycle_time
                                             : analyze_pert(engine.compiled()).makespan;
     const std::vector<edit_batch_status> statuses = run_edit_script(engine, script);
-    return edit_run_json(engine, script, nominal, nominal_cyclic, statuses);
+    return edit_run_json(engine, script, nominal, nominal_cyclic, statuses,
+                         request.options.max_threads);
 }
 
 analysis_response execute_request(const analysis_request& request, const signal_graph& sg)

@@ -341,10 +341,13 @@ struct edit_batch_status {
 /// Renders the run as a JSON document: the model header, the nominal
 /// (pre-script) cycle time, per-batch status (rejections carry the
 /// structured {"code", "message"} error object), the final analysis on
-/// the edited structure, and the incremental engine's counters.
+/// the edited structure, and the incremental engine's counters.  The
+/// final analysis runs under `max_threads` (analysis_options semantics:
+/// 0 = hardware concurrency on large enough graphs).
 [[nodiscard]] std::string edit_run_json(incremental_engine& eng, const edit_script& script,
                                         const rational& nominal, bool nominal_cyclic,
-                                        const std::vector<edit_batch_status>& statuses);
+                                        const std::vector<edit_batch_status>& statuses,
+                                        unsigned max_threads = 0);
 
 // --- executors ---------------------------------------------------------------
 
@@ -375,7 +378,8 @@ struct edit_batch_status {
     std::chrono::steady_clock::time_point deadline = {});
 
 /// Executes an edit request: drives `engine` through the request's script
-/// and returns the edit-run document.  The engine is left on the edited
+/// and returns the edit-run document.  The nominal and final analyses run
+/// under the request's max_threads.  The engine is left on the edited
 /// structure (the service commits it as a new design version).
 [[nodiscard]] std::string execute_edit_payload(const analysis_request& request,
                                                incremental_engine& engine);

@@ -1,15 +1,18 @@
 #include "core/optimize.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "core/compiled_graph.h"
 #include "core/incremental.h"
-#include "ratio/condensation.h"
+#include "ratio/howard.h"
 #include "ratio/ratio_problem.h"
 
 namespace tsg {
@@ -433,7 +436,7 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
     return out;
 }
 
-// --- deterministic top-K (Lawler partitioning) -------------------------------
+// --- deterministic top-K (lazy Lawler partitioning) --------------------------
 
 /// Canonical witness identity: original arc ids in causal order rotated so
 /// the smallest leads (the scenario engine's key).
@@ -445,21 +448,135 @@ std::vector<arc_id> canonical_rotation(std::vector<arc_id> arcs)
     return arcs;
 }
 
-struct peel_entry {
-    rational ratio;
-    std::vector<arc_id> canonical;  ///< original (sg) arcs, canonical rotation
-    std::vector<arc_id> base_cycle; ///< base-problem arcs, causal order
-    std::vector<arc_id> excluded;   ///< excluded base-problem arcs, ascending
+/// Degree trimming of an arc set: nodes left without an in-arc or an
+/// out-arc in the set are dropped with their arcs until none remain.  Every
+/// arc on a cycle of the set survives, and nothing survives exactly when
+/// the set is acyclic.  O(arcs + degrees of the dropped nodes), with
+/// buffers reused across calls.
+class cycle_trimmer {
+public:
+    explicit cycle_trimmer(const csr_graph& g)
+        : g_(g), member_(g.arc_count(), 0), in_(g.node_count(), 0),
+          out_(g.node_count(), 0), gone_(g.node_count(), 0)
+    {
+    }
+
+    /// Trims `arcs` without `drop` (invalid_arc drops nothing).  Returns
+    /// the number of surviving arcs; `kept`, when given, receives them in
+    /// input order.
+    std::size_t trim(std::span<const arc_id> arcs, arc_id drop, std::vector<arc_id>* kept)
+    {
+        std::size_t left = 0;
+        for (const arc_id a : arcs) {
+            if (a == drop) continue;
+            member_[a] = 1;
+            ++out_[g_.from(a)];
+            ++in_[g_.to(a)];
+            ++left;
+        }
+        queue_.clear();
+        const auto check = [&](node_id v) {
+            if (gone_[v] == 0 && (in_[v] == 0 || out_[v] == 0)) {
+                gone_[v] = 1;
+                queue_.push_back(v);
+            }
+        };
+        for (const arc_id a : arcs) {
+            check(g_.from(a));
+            check(g_.to(a));
+        }
+        while (!queue_.empty()) {
+            const node_id v = queue_.back();
+            queue_.pop_back();
+            for (const arc_id a : g_.out_arcs(v)) {
+                if (member_[a] == 0) continue;
+                member_[a] = 0;
+                --left;
+                --in_[g_.to(a)];
+                check(g_.to(a));
+            }
+            for (const arc_id a : g_.in_arcs(v)) {
+                if (member_[a] == 0) continue;
+                member_[a] = 0;
+                --left;
+                --out_[g_.from(a)];
+                check(g_.from(a));
+            }
+        }
+        if (kept != nullptr) {
+            kept->clear();
+            for (const arc_id a : arcs)
+                if (member_[a] != 0) kept->push_back(a);
+        }
+        for (const arc_id a : arcs) {
+            member_[a] = 0;
+            in_[g_.to(a)] = out_[g_.from(a)] = 0;
+            gone_[g_.from(a)] = gone_[g_.to(a)] = 0;
+        }
+        return left;
+    }
+
+private:
+    const csr_graph& g_;
+    std::vector<std::uint8_t> member_; ///< per arc
+    std::vector<std::uint32_t> in_, out_;
+    std::vector<std::uint8_t> gone_;   ///< per node
+    std::vector<node_id> queue_;
 };
 
-/// Total order for the peel heap: higher ratio first, then canonical arc
-/// order, then the exclusion mask (a deterministic final tie-break for
-/// duplicate identities reached through different subproblems).
+/// Heap rank of an entry at equal `ratio`: an unsolved child may still tie
+/// its bound, so it sorts above the solved entries there; a certified one
+/// is strictly below its bound, so it sorts below them.
+enum class peel_rank : std::uint8_t { certified, solved, pending };
+
+/// What solving one subproblem yields besides its ratio.
+struct peel_solution {
+    std::vector<arc_id> canonical;  ///< original (sg) arcs, canonical rotation
+    std::vector<arc_id> base_cycle; ///< base-problem arcs, causal order
+    /// Tight arcs (masked_howard::solve) as a bit set over base arcs: every
+    /// cycle at the maximum ratio consists of them.  Kept compact because
+    /// only the few entries that get expanded ever read it.
+    std::vector<std::uint64_t> tight;
+};
+
+/// What an expanded entry hands its children: its tight arcs trimmed to
+/// the ones on tight cycles.  A child has a cycle at the parent's ratio
+/// exactly when the core keeps a cycle without the child's added arc.
+struct peel_certificate {
+    std::vector<arc_id> core;
+    bool witness_only = false; ///< the core is the witness cycle: every child is below
+};
+
+/// One Lawler subproblem: the base cycles avoiding `excluded`.  Children
+/// enter the heap unsolved (pending), keyed by their parent's ratio as an
+/// upper bound, and are solved only when that bound reaches the heap top.
+struct peel_entry {
+    peel_rank rank = peel_rank::pending;
+    rational ratio; ///< solved: the exact maximum; otherwise the parent's ratio
+    std::vector<arc_id> excluded; ///< excluded base-problem arcs, ascending
+    std::shared_ptr<const peel_solution> solution;       ///< solved
+    std::shared_ptr<const peel_certificate> certificate; ///< unsolved: the parent's
+    arc_id added = invalid_arc; ///< unsolved: the parent witness arc it excludes
+};
+
+/// Total order for the peel heap: higher ratio first, then rank, then
+/// canonical arc order, then the exclusion mask (a deterministic final
+/// tie-break for duplicate identities reached through different
+/// subproblems).  Restricted to solved entries this is exactly the order an
+/// eager enumeration pops them in.
 bool peel_worse(const peel_entry& a, const peel_entry& b)
 {
     if (a.ratio != b.ratio) return a.ratio < b.ratio;
-    if (a.canonical != b.canonical) return a.canonical > b.canonical;
+    if (a.rank != b.rank) return a.rank < b.rank;
+    if (a.rank == peel_rank::solved && a.solution->canonical != b.solution->canonical)
+        return a.solution->canonical > b.solution->canonical;
     return a.excluded > b.excluded;
+}
+
+/// Whether an entry may still hold a cycle of ratio >= `level`.
+bool may_reach(const peel_entry& e, const rational& level)
+{
+    return e.rank == peel_rank::certified ? level < e.ratio : !(e.ratio < level);
 }
 
 /// Enriches one canonical cycle with its exact nominal data.
@@ -491,7 +608,6 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
                                const topk_options& options)
 {
     const ratio_problem base = make_ratio_problem(cg);
-    const std::size_t arc_count = base.graph.arc_count();
     const std::size_t cap = options.max_expansions > 0
                                 ? options.max_expansions
                                 : std::max<std::size_t>(64, 32 * options.k);
@@ -499,46 +615,42 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
     topk_result out;
     out.mode = optimize_mode::deterministic;
 
-    condensation_options copts;
-    copts.max_threads = options.max_threads;
+    masked_howard solver(base);
+    cycle_trimmer trimmer(base.graph);
+    std::vector<std::uint8_t> mask(base.graph.arc_count(), 0);
+    std::vector<arc_id> tight;
 
-    // Solves the subproblem with the masked arcs removed; nullopt when no
-    // cycle survives (max_cycle_ratio_condensed throws exactly then —
-    // token-free cycles cannot appear in subgraphs of a live core).
-    const auto solve =
-        [&](const std::vector<arc_id>& excluded) -> std::optional<peel_entry> {
-        std::vector<std::uint8_t> mask(arc_count, 0);
-        for (const arc_id a : excluded) mask[a] = 1;
-        ratio_problem sub;
-        sub.graph.add_nodes(base.graph.node_count());
-        sub.scale = base.scale;
-        std::vector<arc_id> to_base;
-        for (arc_id a = 0; a < arc_count; ++a) {
-            if (mask[a] || !base.graph.live(a)) continue;
-            sub.graph.add_arc(base.graph.from(a), base.graph.to(a));
-            sub.delay.push_back(base.delay[a]);
-            sub.transit.push_back(base.transit[a]);
-            if (sub.scale != 0) sub.scaled_delay.push_back(base.scaled_delay[a]);
-            to_base.push_back(a);
+    // Solves an entry's subproblem in place; false when no cycle survives.
+    // Different parents can produce the same exclusion set, so every
+    // outcome is kept and a repeated set is answered without a solve.
+    std::map<std::vector<arc_id>, std::pair<rational, std::shared_ptr<const peel_solution>>>
+        outcomes;
+    const auto solve = [&](peel_entry& entry) {
+        auto [it, fresh] = outcomes.try_emplace(entry.excluded);
+        if (fresh) {
+            for (const arc_id a : entry.excluded) mask[a] = 1;
+            std::optional<ratio_result> solved = solver.solve(mask, &tight);
+            for (const arc_id a : entry.excluded) mask[a] = 0;
+            if (solved) {
+                ++out.solves;
+                auto solution = std::make_shared<peel_solution>();
+                solution->base_cycle = std::move(solved->cycle);
+                for (const arc_id a : solution->base_cycle)
+                    solution->canonical.push_back(base.arc_original.empty()
+                                                      ? a
+                                                      : base.arc_original[a]);
+                solution->canonical = canonical_rotation(std::move(solution->canonical));
+                solution->tight.assign((mask.size() + 63) / 64, 0);
+                for (const arc_id a : tight)
+                    solution->tight[a / 64] |= std::uint64_t{1} << (a % 64);
+                it->second = {std::move(solved->ratio), std::move(solution)};
+            }
         }
-        if (sub.graph.arc_count() == 0) return std::nullopt;
-        sub.graph.freeze();
-        condensed_ratio_result solved;
-        try {
-            solved = max_cycle_ratio_condensed(sub, copts);
-        } catch (const error&) {
-            return std::nullopt; // no component contains a cycle
-        }
-        ++out.solves;
-        peel_entry entry;
-        entry.ratio = solved.ratio;
-        for (const arc_id a : solved.cycle) entry.base_cycle.push_back(to_base[a]);
-        std::vector<arc_id> original;
-        for (const arc_id a : entry.base_cycle)
-            original.push_back(base.arc_original.empty() ? a : base.arc_original[a]);
-        entry.canonical = canonical_rotation(std::move(original));
-        entry.excluded = excluded;
-        return entry;
+        if (!it->second.second) return false;
+        entry.rank = peel_rank::solved;
+        entry.ratio = it->second.first;
+        entry.solution = it->second.second;
+        return true;
     };
 
     std::vector<peel_entry> heap;
@@ -552,11 +664,15 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
         heap.pop_back();
         return entry;
     };
+    const auto solve_top = [&]() {
+        peel_entry entry = pop();
+        if (solve(entry)) push(std::move(entry));
+    };
 
-    std::optional<peel_entry> root = solve({});
-    if (!root) throw error("invalid_request: report_topk requires a cyclic graph");
-    out.cycle_time = root->ratio;
-    push(std::move(*root));
+    peel_entry root;
+    if (!solve(root)) throw error("invalid_request: report_topk requires a cyclic graph");
+    out.cycle_time = root.ratio;
+    push(std::move(root));
 
     // Ratio plateaus: entries at the top ratio are collected until the heap
     // top drops strictly below it, then flushed in canonical arc order —
@@ -567,22 +683,46 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
     const auto flush_plateau = [&]() {
         std::sort(plateau.begin(), plateau.end(),
                   [](const peel_entry& a, const peel_entry& b) {
-                      return a.canonical < b.canonical;
+                      return a.solution->canonical < b.solution->canonical;
                   });
         for (peel_entry& entry : plateau) {
             if (out.cycles.size() >= options.k) break;
             out.cycles.push_back(
-                make_topk_cycle(sg, cg, std::move(entry.canonical), out.cycle_time));
+                make_topk_cycle(sg, cg, entry.solution->canonical, out.cycle_time));
         }
         plateau.clear();
     };
 
     std::size_t expansions = 0;
-    while (!heap.empty() && out.cycles.size() < options.k) {
-        if (!plateau.empty() && heap.front().ratio < plateau.front().ratio) {
-            flush_plateau();
-            if (out.cycles.size() >= options.k) break;
+    while (out.cycles.size() < options.k) {
+        if (!plateau.empty()) {
+            // Settle the unsolved entries that could still join the plateau.
+            // A child whose parent sits at the plateau ratio has a cycle at
+            // that ratio only on the parent's tight arcs; when they turn
+            // acyclic without the child's extra exclusion, the child is
+            // certified strictly below and re-queued instead of solved.
+            const rational& level = plateau.front().ratio;
+            while (!heap.empty() && heap.front().rank != peel_rank::solved &&
+                   may_reach(heap.front(), level)) {
+                const peel_entry& top = heap.front();
+                if (top.rank == peel_rank::pending && top.ratio == level &&
+                    (top.certificate->witness_only ||
+                     trimmer.trim(top.certificate->core, top.added, nullptr) == 0)) {
+                    peel_entry entry = pop();
+                    entry.rank = peel_rank::certified;
+                    push(std::move(entry));
+                } else {
+                    solve_top();
+                }
+            }
+            if (heap.empty() || !may_reach(heap.front(), level)) {
+                flush_plateau();
+                if (out.cycles.size() >= options.k) break;
+            }
         }
+        // The next pop must be the true maximum.
+        while (!heap.empty() && heap.front().rank != peel_rank::solved) solve_top();
+        if (heap.empty()) break;
         if (expansions >= cap) {
             out.truncated = true; // order beyond this point not confirmed
             break;
@@ -592,15 +732,27 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
         // Every cycle of this subproblem other than the witness misses at
         // least one witness arc: the children jointly cover the remainder.
         if (explored.insert(entry.excluded).second) {
-            for (const arc_id x : entry.base_cycle) {
-                std::vector<arc_id> child = entry.excluded;
-                child.insert(std::lower_bound(child.begin(), child.end(), x), x);
-                if (explored.count(child)) continue;
-                if (std::optional<peel_entry> solved = solve(child))
-                    push(std::move(*solved));
+            tight.clear();
+            for (std::size_t w = 0; w < entry.solution->tight.size(); ++w)
+                for (std::uint64_t bits = entry.solution->tight[w]; bits != 0; bits &= bits - 1)
+                    tight.push_back(static_cast<arc_id>(w * 64 + std::countr_zero(bits)));
+            auto certificate = std::make_shared<peel_certificate>();
+            trimmer.trim(tight, invalid_arc, &certificate->core);
+            certificate->witness_only =
+                certificate->core.size() == entry.solution->base_cycle.size();
+            for (const arc_id x : entry.solution->base_cycle) {
+                peel_entry child;
+                child.excluded = entry.excluded;
+                child.excluded.insert(
+                    std::lower_bound(child.excluded.begin(), child.excluded.end(), x), x);
+                if (explored.count(child.excluded)) continue;
+                child.ratio = entry.ratio;
+                child.certificate = certificate;
+                child.added = x;
+                push(std::move(child));
             }
         }
-        if (seen.insert(entry.canonical).second) plateau.push_back(std::move(entry));
+        if (seen.insert(entry.solution->canonical).second) plateau.push_back(std::move(entry));
     }
     if (out.cycles.size() < options.k) flush_plateau();
     if (out.cycles.size() < options.k) out.truncated = true;

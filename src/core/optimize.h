@@ -25,10 +25,21 @@
 //     incremental_engine, so the nominal-lambda trajectory rides warm
 //     Howard re-analyses of delay-only batches, never a recompile.
 //   * report_topk, deterministic mode — ranked enumeration of the K most
-//     critical cycles by exact ratio (Lawler-style partitioning: peel the
-//     winner, re-solve subproblems excluding each witness arc), ties
-//     broken by the canonical rotation's lexicographic arc order, so the
-//     report is bit-identical for every thread count.
+//     critical cycles by exact ratio, ties broken by the canonical
+//     rotation's lexicographic arc order, so the report is bit-identical
+//     for every thread count.  Certified lazy Lawler peeling: popping a
+//     subproblem's witness cycle queues one child per witness arc (the
+//     subproblem minus that arc) *unsolved*, keyed by the parent's ratio
+//     as an upper bound; a child is solved only when that bound reaches
+//     the heap top.  Every solve is a masked Howard run over the shared
+//     core CSR (ratio/howard.h masked_howard) — no graph copy, no SCC
+//     decomposition.  Before an unsolved child may decide whether the
+//     current ratio plateau is complete, it is checked against the
+//     parent's tight arcs (zero reduced cost at the parent's ratio):
+//     every cycle at that ratio lies on them, so when they turn acyclic
+//     without the child's arc, the child is certified strictly below the
+//     plateau and re-queued there instead of solved.  The children of the
+//     final pop are never solved.
 //   * report_topk, statistical mode — the K cycles most often reported as
 //     the critical witness across a seeded Monte Carlo batch, ordered by
 //     criticality probability (ties: earliest first appearance) with
@@ -185,7 +196,8 @@ struct topk_options {
     unsigned lane_width = 0;
 
     /// Deterministic mode: cap on Lawler-partition subproblem expansions
-    /// (0 picks max(64, 32 * k)).  Hitting it flags the report truncated.
+    /// (popped subproblems; 0 picks max(64, 32 * k)).  Hitting it flags the
+    /// report truncated.
     std::size_t max_expansions = 0;
 };
 
@@ -232,7 +244,8 @@ struct topk_result {
     bool truncated = false;
 
     std::size_t samples = 0; ///< statistical: Monte Carlo samples drawn
-    std::size_t solves = 0;  ///< deterministic: subproblem ratio solves
+    std::size_t solves = 0;  ///< deterministic: subproblems solved (certified
+                             ///< and repeated ones cost none)
 };
 
 /// Plans the budget allocation.  The engine overload reuses a compiled

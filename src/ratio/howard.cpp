@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <ranges>
 #include <string>
 
 namespace tsg {
@@ -131,9 +132,17 @@ struct value_determination {
     std::vector<node_id> path;      ///< workspace: current policy walk
 };
 
+/// The node and arc sets a solve sweeps.  A full solve passes index
+/// ranges over the whole problem, which compile to the plain counted loops;
+/// a masked solve passes spans listing the surviving nodes and arcs
+/// (ascending ids, so decisions match a solve of the copied subgraph).
+/// Either way the sweeps carry no per-arc liveness test.
+using full_nodes = std::ranges::iota_view<node_id, node_id>;
+using full_arcs = std::ranges::iota_view<arc_id, arc_id>;
+
 /// Computes per-node cycle ratios and potentials for a fixed policy.
-template <typename Domain>
-void determine_values(const ratio_problem& p, const Domain& domain,
+template <typename Domain, typename Nodes>
+void determine_values(const ratio_problem& p, const Domain& domain, const Nodes& nodes,
                       const std::vector<arc_id>& policy, value_determination<Domain>& out)
 {
     const std::size_t n = p.graph.node_count();
@@ -144,7 +153,7 @@ void determine_values(const ratio_problem& p, const Domain& domain,
     out.mark.assign(n, unvisited);
 
     bool have_best = false;
-    for (node_id root = 0; root < n; ++root) {
+    for (const node_id root : nodes) {
         if (out.mark[root] != unvisited) continue;
 
         // Follow the policy until we meet a processed node or close a cycle.
@@ -175,20 +184,33 @@ void determine_values(const ratio_problem& p, const Domain& domain,
                             " (graph not live)");
             const auto ratio = domain.make_lambda(delay, tokens);
 
-            // Anchor v(cycle head) = 0 and propagate backwards around the
-            // cycle; the sum of (delay - ratio*transit) around it is 0, so
-            // the assignment is consistent.
-            out.lambda[v] = ratio;
-            out.value[v] = typename Domain::value_type{};
-            for (std::size_t i = path.size(); i-- > static_cast<std::size_t>(cycle_begin) + 1;) {
-                const node_id u = path[i];
+            // Anchor v(head) = 0 at the cycle's smallest node and propagate
+            // backwards around the cycle; the sum of (delay - ratio*transit)
+            // around it is 0, so the assignment is consistent.  The anchor
+            // depends on the cycle alone, not on where the walk entered it,
+            // so a cycle kept from the previous policy keeps its potentials:
+            // the potential-improvement phase then only ever raises values,
+            // which is what guarantees termination.  (Anchoring at the walk's
+            // entry point shifts whole basins between iterations and can
+            // cycle forever on graphs with tied ratios.)
+            const std::size_t begin = static_cast<std::size_t>(cycle_begin);
+            const std::size_t length = path.size() - begin;
+            std::size_t head = 0; // offset of the anchor within the cycle
+            for (std::size_t i = 1; i < length; ++i)
+                if (path[begin + i] < path[begin + head]) head = i;
+            out.lambda[path[begin + head]] = ratio;
+            out.value[path[begin + head]] = typename Domain::value_type{};
+            out.mark[path[begin + head]] = done;
+            const auto settle = [&](std::size_t i) {
+                const node_id u = path[begin + i];
                 const arc_id a = policy[u];
                 const node_id succ = p.graph.to(a);
                 out.lambda[u] = ratio;
                 out.value[u] = domain.step(a, p.transit[a], ratio, out.value[succ]);
                 out.mark[u] = done;
-            }
-            out.mark[v] = done;
+            };
+            for (std::size_t i = head; i-- > 0;) settle(i);
+            for (std::size_t i = length; i-- > head + 1;) settle(i);
 
             if (!have_best || Domain::lambda_less(out.best_lambda, ratio)) {
                 out.best_lambda = ratio;
@@ -221,9 +243,73 @@ void determine_values(const ratio_problem& p, const Domain& domain,
     ensure(have_best, "max_cycle_ratio_howard: no policy cycle found");
 }
 
+/// Policy iteration from the initial `policy` (one out-arc per node of
+/// `nodes`) over the arcs of `arcs`.  On return `policy` holds the
+/// converged policy and `vd` its ratios and potentials.
+template <typename Domain, typename Nodes, typename Arcs>
+ratio_result iterate(const ratio_problem& p, const Domain& domain, const Nodes& nodes,
+                     const Arcs& arcs, const howard_options& options,
+                     std::vector<arc_id>& policy, value_determination<Domain>& vd)
+{
+    const std::size_t n = p.graph.node_count();
+    const std::size_t automatic_cap =
+        100 * n * std::max<std::size_t>(p.graph.arc_count(), 1) + 64;
+    const std::size_t cap =
+        options.max_iterations > 0 ? options.max_iterations : automatic_cap;
+    determine_values(p, domain, nodes, policy, vd);
+
+    for (std::size_t iter = 0; iter < cap; ++iter) {
+        // Phase 1: ratio improvement — switch to arcs reaching cycles with
+        // strictly larger ratio.  The sweep walks the flat arc arrays
+        // (ascending arc ids visit each node's arcs in out_arcs order, and
+        // lambda is read-only here, so the decisions match a node-major
+        // sweep exactly — without the per-node adjacency indirection).
+        bool improved = false;
+        for (const arc_id a : arcs) {
+            const node_id u = p.graph.from(a);
+            if (Domain::lambda_less(vd.lambda[p.graph.to(policy[u])],
+                                    vd.lambda[p.graph.to(a)])) {
+                policy[u] = a;
+                improved = true;
+            }
+        }
+
+        // Phase 2 (only when ratios are stable): potential improvement among
+        // arcs with equal target ratio, Gauss-Seidel in ascending arc order.
+        if (!improved) {
+            for (const arc_id a : arcs) {
+                const node_id u = p.graph.from(a);
+                const node_id x = p.graph.to(a);
+                if (!Domain::lambda_equal(vd.lambda[x], vd.lambda[u])) continue;
+                const auto candidate =
+                    domain.step(a, p.transit[a], vd.lambda[u], vd.value[x]);
+                if (vd.value[u] < candidate) {
+                    policy[u] = a;
+                    vd.value[u] = candidate;
+                    improved = true;
+                }
+            }
+        }
+
+        if (!improved) {
+            ratio_result result;
+            result.ratio = domain.exact_ratio(p, vd.best_lambda, vd.best_cycle);
+            result.cycle = std::move(vd.best_cycle);
+            result.iterations = static_cast<std::uint32_t>(iter);
+            return result;
+        }
+        determine_values(p, domain, nodes, policy, vd);
+    }
+    require(options.max_iterations == 0,
+            "max_cycle_ratio_howard: iteration cap (" + std::to_string(cap) +
+                ") exceeded before convergence");
+    ensure(false, "max_cycle_ratio_howard: automatic iteration cap exceeded");
+    return {};
+}
+
 template <typename Domain>
-ratio_result iterate(const ratio_problem& p, const Domain& domain,
-                     const howard_options& options, howard_state* state)
+ratio_result solve_full(const ratio_problem& p, const Domain& domain,
+                        const howard_options& options, howard_state* state)
 {
     const std::size_t n = p.graph.node_count();
 
@@ -242,62 +328,30 @@ ratio_result iterate(const ratio_problem& p, const Domain& domain,
         policy[v] = warm ? state->policy[v] : p.graph.out_arcs(v)[0];
     }
 
-    const std::size_t automatic_cap =
-        100 * n * std::max<std::size_t>(p.graph.arc_count(), 1) + 64;
-    const std::size_t cap =
-        options.max_iterations > 0 ? options.max_iterations : automatic_cap;
-    const std::size_t m = p.graph.arc_count();
     value_determination<Domain> vd;
-    determine_values(p, domain, policy, vd);
+    ratio_result result =
+        iterate(p, domain, full_nodes(0, static_cast<node_id>(n)),
+                full_arcs(0, static_cast<arc_id>(p.graph.arc_count())), options, policy, vd);
+    if (state != nullptr) state->policy = std::move(policy);
+    return result;
+}
 
-    for (std::size_t iter = 0; iter < cap; ++iter) {
-        // Phase 1: ratio improvement — switch to arcs reaching cycles with
-        // strictly larger ratio.  The sweep walks the flat arc arrays
-        // (ascending arc ids visit each node's arcs in out_arcs order, and
-        // lambda is read-only here, so the decisions match a node-major
-        // sweep exactly — without the per-node adjacency indirection).
-        bool improved = false;
-        for (arc_id a = 0; a < m; ++a) {
-            const node_id u = p.graph.from(a);
-            if (Domain::lambda_less(vd.lambda[p.graph.to(policy[u])],
-                                    vd.lambda[p.graph.to(a)])) {
-                policy[u] = a;
-                improved = true;
-            }
-        }
-
-        // Phase 2 (only when ratios are stable): potential improvement among
-        // arcs with equal target ratio, Gauss-Seidel in ascending arc order.
-        if (!improved) {
-            for (arc_id a = 0; a < m; ++a) {
-                const node_id u = p.graph.from(a);
-                const node_id x = p.graph.to(a);
-                if (!Domain::lambda_equal(vd.lambda[x], vd.lambda[u])) continue;
-                const auto candidate =
-                    domain.step(a, p.transit[a], vd.lambda[u], vd.value[x]);
-                if (vd.value[u] < candidate) {
-                    policy[u] = a;
-                    vd.value[u] = candidate;
-                    improved = true;
-                }
-            }
-        }
-
-        if (!improved) {
-            if (state != nullptr) state->policy = policy;
-            ratio_result result;
-            result.ratio = domain.exact_ratio(p, vd.best_lambda, vd.best_cycle);
-            result.cycle = std::move(vd.best_cycle);
-            result.iterations = static_cast<std::uint32_t>(iter);
-            return result;
-        }
-        determine_values(p, domain, policy, vd);
+/// Arcs with zero reduced cost between nodes at the maximum ratio, read off
+/// a converged iteration: every cycle of ratio lambda* uses only these.
+template <typename Domain>
+void collect_tight_arcs(const ratio_problem& p, const Domain& domain,
+                        std::span<const arc_id> arcs, const value_determination<Domain>& vd,
+                        std::vector<arc_id>& tight)
+{
+    tight.clear();
+    for (const arc_id a : arcs) {
+        const node_id u = p.graph.from(a);
+        const node_id x = p.graph.to(a);
+        if (Domain::lambda_equal(vd.lambda[u], vd.best_lambda) &&
+            Domain::lambda_equal(vd.lambda[x], vd.best_lambda) &&
+            vd.value[u] == domain.step(a, p.transit[a], vd.best_lambda, vd.value[x]))
+            tight.push_back(a);
     }
-    require(options.max_iterations == 0,
-            "max_cycle_ratio_howard: iteration cap (" + std::to_string(cap) +
-                ") exceeded before convergence");
-    ensure(false, "max_cycle_ratio_howard: automatic iteration cap exceeded");
-    return {};
 }
 
 } // namespace
@@ -308,11 +362,107 @@ ratio_result max_cycle_ratio_howard(const ratio_problem& p, const howard_options
     require(p.graph.node_count() > 0, "max_cycle_ratio_howard: empty graph");
 
     if (fixed_point_eligible(p)) {
-        ratio_result result = iterate(p, fixed_howard_domain{p.scaled_delay}, options, state);
+        ratio_result result = solve_full(p, fixed_howard_domain{p.scaled_delay}, options, state);
         result.fixed_point = true;
         return result;
     }
-    return iterate(p, rational_howard_domain{p.delay}, options, state);
+    return solve_full(p, rational_howard_domain{p.delay}, options, state);
+}
+
+// --- masked solves -----------------------------------------------------------
+
+struct masked_howard::workspace {
+    bool fixed = false; ///< the base problem is fixed-point eligible
+
+    std::vector<std::uint32_t> live_out; ///< per node: surviving out-arcs
+    std::vector<std::uint8_t> dead;      ///< per node: peeled
+    std::vector<node_id> queue;          ///< peel worklist
+    std::vector<node_id> nodes;          ///< surviving nodes, ascending
+    std::vector<arc_id> arcs;            ///< surviving arcs, ascending
+    std::vector<arc_id> policy;
+    value_determination<fixed_howard_domain> fixed_vd;
+    value_determination<rational_howard_domain> rational_vd;
+};
+
+masked_howard::masked_howard(const ratio_problem& base)
+    : base_(base), ws_(std::make_unique<workspace>())
+{
+    base_.graph.freeze();
+    // Every subgraph's scaled-delay mass and token total are at most the
+    // base's, so eligibility of the base covers every mask.
+    ws_->fixed = fixed_point_eligible(base_);
+}
+
+masked_howard::~masked_howard() = default;
+
+std::optional<ratio_result> masked_howard::solve(std::span<const std::uint8_t> excluded,
+                                                 std::vector<arc_id>* tight)
+{
+    const csr_graph& g = base_.graph;
+    const std::size_t n = g.node_count();
+    const std::size_t m = g.arc_count();
+    require(excluded.size() == m, "masked_howard::solve: mask size differs from arc count");
+    workspace& ws = *ws_;
+
+    // Peel dead ends: a node with no surviving out-arc lies on no cycle, and
+    // neither do the arcs into it.  What survives has an out-arc everywhere,
+    // which is all policy iteration needs.
+    ws.live_out.assign(n, 0);
+    ws.dead.assign(n, 0);
+    ws.queue.clear();
+    for (node_id v = 0; v < n; ++v) {
+        for (const arc_id a : g.out_arcs(v)) ws.live_out[v] += excluded[a] == 0;
+        if (ws.live_out[v] == 0) {
+            ws.dead[v] = 1;
+            ws.queue.push_back(v);
+        }
+    }
+    while (!ws.queue.empty()) {
+        const node_id v = ws.queue.back();
+        ws.queue.pop_back();
+        for (const arc_id a : g.in_arcs(v)) {
+            const node_id u = g.from(a);
+            if (excluded[a] != 0 || ws.dead[u] != 0) continue;
+            if (--ws.live_out[u] == 0) {
+                ws.dead[u] = 1;
+                ws.queue.push_back(u);
+            }
+        }
+    }
+
+    ws.nodes.clear();
+    for (node_id v = 0; v < n; ++v)
+        if (ws.dead[v] == 0) ws.nodes.push_back(v);
+    if (ws.nodes.empty()) return std::nullopt;
+    ws.arcs.clear();
+    for (arc_id a = 0; a < m; ++a)
+        if (g.live(a) && excluded[a] == 0 && ws.dead[g.from(a)] == 0 && ws.dead[g.to(a)] == 0)
+            ws.arcs.push_back(a);
+
+    // Cold start: the first surviving out-arc of every surviving node.
+    ws.policy.resize(n, invalid_arc);
+    for (const node_id v : ws.nodes) {
+        for (const arc_id a : g.out_arcs(v)) {
+            if (excluded[a] == 0 && ws.dead[g.to(a)] == 0) {
+                ws.policy[v] = a;
+                break;
+            }
+        }
+    }
+
+    const std::span<const node_id> nodes(ws.nodes);
+    const std::span<const arc_id> arcs(ws.arcs);
+    if (ws.fixed) {
+        const fixed_howard_domain domain{base_.scaled_delay};
+        ratio_result result = iterate(base_, domain, nodes, arcs, {}, ws.policy, ws.fixed_vd);
+        result.fixed_point = true;
+        if (tight != nullptr) collect_tight_arcs(base_, domain, arcs, ws.fixed_vd, *tight);
+        return result;
+    }
+    const rational_howard_domain domain{base_.delay};
+    ratio_result result = iterate(base_, domain, nodes, arcs, {}, ws.policy, ws.rational_vd);
+    if (tight != nullptr) collect_tight_arcs(base_, domain, arcs, ws.rational_vd, *tight);
+    return result;
 }
 
 rational cycle_time_howard(const signal_graph& sg)

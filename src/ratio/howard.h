@@ -32,8 +32,25 @@
 // Requires a strongly connected, live problem; solve arbitrary graphs
 // through max_cycle_ratio_condensed (ratio/condensation.h), which fans
 // Howard over the strongly connected components.
+//
+// Masked solves.  masked_howard answers many questions of the form "the
+// maximum cycle ratio of this base problem without these arcs" — the
+// subproblems of the top-K enumeration (core/optimize.h).  Each solve runs
+// on the base problem's frozen CSR: no graph copy and no SCC carving.  It
+// peels dead ends first (a node without a surviving out-arc lies on no
+// cycle, nor do the arcs into it), then runs the same policy iteration over
+// the surviving nodes and arcs — Howard is valid on any graph where every
+// node has an out-arc, strongly connected or not.  The unmasked entry point
+// keeps its plain index loops; the masked sweeps walk lists of surviving
+// ids instead of testing each arc.
 #ifndef TSG_RATIO_HOWARD_H
 #define TSG_RATIO_HOWARD_H
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "ratio/ratio_problem.h"
 
@@ -62,6 +79,33 @@ struct howard_state {
 [[nodiscard]] ratio_result max_cycle_ratio_howard(const ratio_problem& p,
                                                   const howard_options& options = {},
                                                   howard_state* state = nullptr);
+
+/// Repeated solves of one base problem under arc exclusion masks, in either
+/// arithmetic domain, reusing one set of buffers.  The base problem must
+/// outlive the solver and stay unchanged; it must be live but need not be
+/// strongly connected.  Not thread-safe: one solver per thread.
+class masked_howard {
+public:
+    explicit masked_howard(const ratio_problem& base);
+    ~masked_howard();
+    masked_howard(const masked_howard&) = delete;
+    masked_howard& operator=(const masked_howard&) = delete;
+
+    /// Maximum cycle ratio of the base problem without the arcs whose
+    /// `excluded` byte is nonzero (one byte per arc), with a witness cycle
+    /// of base-problem arcs; nullopt when no cycle survives the mask.  When
+    /// `tight` is given it receives, ascending, the surviving arcs (u, x)
+    /// with zero reduced cost between two nodes whose ratio is the maximum:
+    /// every cycle of maximum ratio consists of tight arcs only, and every
+    /// cycle of tight arcs has maximum ratio.
+    [[nodiscard]] std::optional<ratio_result> solve(std::span<const std::uint8_t> excluded,
+                                                    std::vector<arc_id>* tight = nullptr);
+
+private:
+    struct workspace;
+    const ratio_problem& base_;
+    std::unique_ptr<workspace> ws_;
+};
 
 /// Convenience: the cycle time of a Signal Graph via Howard's iteration.
 [[nodiscard]] rational cycle_time_howard(const signal_graph& sg);

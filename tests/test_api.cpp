@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "core/api.h"
+#include "core/cycle_time.h"
+#include "gen/random_sg.h"
 #include "util/json.h"
 #include "util/prng.h"
 #include "util/rational.h"
@@ -274,6 +276,40 @@ TEST(ApiCodec, ResponseSerializationEmbedsPayloadAndErrors)
     ASSERT_NE(bad_doc.find("error"), nullptr);
     EXPECT_EQ(bad_doc.find("error")->find("code")->text, "unknown_design");
     EXPECT_EQ(bad_doc.find("payload"), nullptr);
+}
+
+TEST(ApiExecute, EditPayloadIsIndependentOfMaxThreads)
+{
+    // Large enough that the default thread budget fans the border runs out
+    // (>= 2^16 relaxations): the edit executor's nominal and final analyses
+    // honour the request's max_threads, and the payload is the same for
+    // every setting.
+    random_sg_options gopts;
+    gopts.events = 256;
+    gopts.extra_arcs = 256;
+    gopts.border_limit = 16;
+    gopts.seed = 5;
+    const signal_graph sg = random_marked_graph(gopts);
+    analysis_options serial;
+    serial.solver = cycle_time_solver::border_sweep;
+    serial.max_threads = 1;
+    const cycle_time_result ct = analyze_cycle_time(sg, serial);
+    ASSERT_GE(static_cast<std::size_t>(ct.periods_used + 1) * sg.arc_count() * ct.runs.size(),
+              std::size_t{1} << 16);
+
+    analysis_request request;
+    request.kind = request_kind::edit;
+    request.edits = json_parse(R"({"edits": [{"op": "set_delay", "arc": 3, "delay": "7/2"}]})");
+    std::string reference;
+    for (const unsigned threads : {0u, 1u, 2u}) {
+        request.options.max_threads = threads;
+        const analysis_response response = execute_request(request, sg);
+        ASSERT_TRUE(response.ok) << response.error.message;
+        if (threads == 0)
+            reference = response.payload;
+        else
+            EXPECT_EQ(response.payload, reference) << "max_threads " << threads;
+    }
 }
 
 } // namespace

@@ -3,19 +3,40 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "gen/oscillator.h"
 #include "gen/muller.h"
+#include "gen/random_sg.h"
 #include "ratio/condensation.h"
 #include "ratio/exhaustive.h"
 #include "ratio/howard.h"
 #include "ratio/karp.h"
 #include "ratio/lawler.h"
 #include "sg/builder.h"
+#include "util/prng.h"
 
 namespace tsg {
 namespace {
+
+/// The subgraph of `p` without the masked arcs, as an explicit copy (the
+/// reference the masked solve must agree with).  Node ids are kept.
+ratio_problem copy_unmasked(const ratio_problem& p, const std::vector<std::uint8_t>& mask)
+{
+    ratio_problem sub;
+    sub.graph.add_nodes(p.graph.node_count());
+    sub.scale = p.scale;
+    for (arc_id a = 0; a < p.graph.arc_count(); ++a) {
+        if (mask[a] != 0) continue;
+        sub.graph.add_arc(p.graph.from(a), p.graph.to(a));
+        sub.delay.push_back(p.delay[a]);
+        sub.transit.push_back(p.transit[a]);
+        if (p.scale != 0) sub.scaled_delay.push_back(p.scaled_delay[a]);
+    }
+    sub.graph.freeze();
+    return sub;
+}
 
 TEST(Exhaustive, Example5FourSimpleCycles)
 {
@@ -237,6 +258,32 @@ TEST(Howard, EqualRatioTieBreakingOnPotentials)
     EXPECT_EQ(max_cycle_ratio_lawler(p).ratio, rational(2));
 }
 
+TEST(Howard, TerminatesOnTiedCyclesReachedThroughChangingTrees)
+{
+    // A subgraph of a random core (seed 12, four arcs removed) whose policy
+    // iteration used to cycle forever: potentials were anchored wherever
+    // the value-determination walk first closed a cycle, so one retained
+    // cycle's basin shifted between rounds and the potential phase kept
+    // undoing itself until the automatic cap threw.  The anchor is now the
+    // cycle's smallest node.
+    random_sg_options opts;
+    opts.events = 12;
+    opts.extra_arcs = 12;
+    opts.max_delay = 8;
+    opts.seed = 12;
+    const ratio_problem p = make_ratio_problem(random_marked_graph(opts));
+    std::vector<std::uint8_t> mask(p.graph.arc_count(), 0);
+    for (const arc_id a : {3u, 6u, 9u, 10u}) mask[a] = 1;
+    const ratio_problem sub = copy_unmasked(p, mask);
+
+    const rational expected = max_cycle_ratio_exhaustive(sub).ratio;
+    EXPECT_EQ(max_cycle_ratio_condensed(sub).ratio, expected);
+    masked_howard solver(p);
+    const std::optional<ratio_result> masked = solver.solve(mask);
+    ASSERT_TRUE(masked.has_value());
+    EXPECT_EQ(masked->ratio, expected);
+}
+
 TEST(Howard, ExplicitIterationCapThrowsUserError)
 {
     // Initial policy (first out-arc) picks the ratio-5 self-loop; reaching
@@ -360,6 +407,154 @@ TEST(Condensation, NonLiveComponentErrorNamesTheComponent)
             << what;
         EXPECT_NE(what.find("not live"), std::string::npos) << what;
     }
+}
+
+// --- masked Howard -----------------------------------------------------------
+
+/// Whether `arcs` (minus `drop`) contain a cycle: Kahn's algorithm.
+bool has_cycle(const ratio_problem& p, const std::vector<arc_id>& arcs, arc_id drop)
+{
+    const std::size_t n = p.graph.node_count();
+    std::vector<std::size_t> in(n, 0);
+    std::vector<std::vector<node_id>> out(n);
+    std::size_t count = 0;
+    for (const arc_id a : arcs) {
+        if (a == drop) continue;
+        out[p.graph.from(a)].push_back(p.graph.to(a));
+        ++in[p.graph.to(a)];
+        ++count;
+    }
+    std::vector<node_id> ready;
+    for (node_id v = 0; v < n; ++v)
+        if (in[v] == 0) ready.push_back(v);
+    while (!ready.empty()) {
+        const node_id v = ready.back();
+        ready.pop_back();
+        for (const node_id w : out[v]) {
+            --count;
+            if (--in[w] == 0) ready.push_back(w);
+        }
+    }
+    return count > 0;
+}
+
+/// Random live test problems in both arithmetic domains: compiled
+/// (fixed-point) cores and the same cores with the scaled domain removed,
+/// which forces the rational fallback.
+std::vector<ratio_problem> masked_test_problems()
+{
+    std::vector<ratio_problem> problems;
+    for (const std::uint64_t seed : {3u, 17u, 29u}) {
+        random_sg_options opts;
+        opts.events = 10 + static_cast<std::uint32_t>(seed % 7);
+        opts.extra_arcs = 12;
+        opts.max_delay = seed == 17 ? 1 : 9; // seed 17: dense ratio ties
+        opts.seed = seed;
+        ratio_problem p = make_ratio_problem(random_marked_graph(opts));
+        EXPECT_NE(p.scale, 0);
+        ratio_problem rational_only = p;
+        rational_only.scale = 0;
+        rational_only.scaled_delay.clear();
+        problems.push_back(std::move(p));
+        problems.push_back(std::move(rational_only));
+    }
+    return problems;
+}
+
+TEST(MaskedHoward, MatchesCondensationOnCopiedSubgraphs)
+{
+    for (const ratio_problem& p : masked_test_problems()) {
+        masked_howard solver(p);
+        prng rng(p.graph.arc_count() * 131 + static_cast<std::uint64_t>(p.scale != 0));
+        const std::size_t m = p.graph.arc_count();
+        std::size_t disconnected = 0;
+        std::size_t empty = 0;
+        for (int trial = 0; trial < 120; ++trial) {
+            std::vector<std::uint8_t> mask(m, 0);
+            if (trial == 0) {
+                // Every token arc removed: a live graph keeps no cycle.
+                for (arc_id a = 0; a < m; ++a) mask[a] = p.transit[a] > 0;
+            } else if (trial == 1) {
+                std::fill(mask.begin(), mask.end(), 1);
+            } else {
+                const double density = 0.05 * static_cast<double>(1 + trial % 10);
+                for (arc_id a = 0; a < m; ++a) mask[a] = rng.chance(density);
+            }
+            const ratio_problem sub = copy_unmasked(p, mask);
+
+            std::optional<condensed_ratio_result> expected;
+            if (sub.graph.arc_count() > 0) {
+                try {
+                    expected = max_cycle_ratio_condensed(sub);
+                } catch (const error&) {
+                    // no component keeps a cycle
+                }
+            }
+            std::vector<arc_id> tight;
+            const std::optional<ratio_result> got = solver.solve(mask, &tight);
+            ASSERT_EQ(got.has_value(), expected.has_value()) << "trial " << trial;
+            if (!got) {
+                ++empty;
+                continue;
+            }
+            if (expected->component_count > 1) ++disconnected;
+            EXPECT_EQ(got->ratio, expected->ratio) << "trial " << trial;
+            EXPECT_EQ(got->fixed_point, p.scale != 0);
+
+            // The witness is a closed walk of unmasked arcs at that ratio.
+            ASSERT_FALSE(got->cycle.empty());
+            for (std::size_t i = 0; i < got->cycle.size(); ++i) {
+                const arc_id a = got->cycle[i];
+                const arc_id next = got->cycle[(i + 1) % got->cycle.size()];
+                EXPECT_EQ(mask[a], 0) << "witness uses a masked arc";
+                EXPECT_EQ(p.graph.to(a), p.graph.from(next)) << "witness is not a cycle";
+                EXPECT_TRUE(std::binary_search(tight.begin(), tight.end(), a))
+                    << "witness arc is not tight";
+            }
+            EXPECT_EQ(cycle_ratio(p, got->cycle), got->ratio);
+        }
+        EXPECT_GT(disconnected, 0u) << "no mask split the core";
+        EXPECT_GT(empty, 1u) << "no mask left the graph acyclic";
+    }
+}
+
+TEST(MaskedHoward, TightArcsDecideWhetherAChildKeepsTheRatio)
+{
+    // Removing witness arc x keeps the maximum ratio exactly when the tight
+    // arcs minus x still contain a cycle — the certificate behind top-K's
+    // lazy peeling (core/optimize.cpp).
+    std::size_t kept = 0;
+    std::size_t dropped = 0;
+    for (const ratio_problem& p : masked_test_problems()) {
+        masked_howard solver(p);
+        prng rng(p.graph.arc_count() * 7 + 1);
+        const std::size_t m = p.graph.arc_count();
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<std::uint8_t> mask(m, 0);
+            for (arc_id a = 0; a < m; ++a) mask[a] = rng.chance(0.1);
+            std::vector<arc_id> tight;
+            const std::optional<ratio_result> parent = solver.solve(mask, &tight);
+            if (!parent) continue;
+            for (const arc_id x : parent->cycle) {
+                std::vector<std::uint8_t> child = mask;
+                child[x] = 1;
+                const std::optional<ratio_result> solved = solver.solve(child);
+                const bool keeps = solved && solved->ratio == parent->ratio;
+                EXPECT_EQ(keeps, has_cycle(p, tight, x)) << "trial " << trial << " arc " << x;
+                ++(keeps ? kept : dropped);
+            }
+        }
+    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(dropped, 0u);
+}
+
+TEST(MaskedHoward, RejectsAMaskOfTheWrongSize)
+{
+    const ratio_problem p = make_ratio_problem(c_oscillator_sg());
+    masked_howard solver(p);
+    const std::vector<std::uint8_t> mask(p.graph.arc_count() + 1, 0);
+    EXPECT_THROW((void)solver.solve(mask), error);
 }
 
 } // namespace
