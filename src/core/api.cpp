@@ -448,7 +448,15 @@ std::string analysis_response_json(const analysis_response& response)
                     json_value::number(std::uint64_t{response.error.retry_after_ms}));
         doc.set("error", std::move(err));
     }
-    return doc.write();
+    // One buffer for the whole line, sized up front: the renderers' pretty
+    // payloads shrink when compacted, so the line fits unless escapes
+    // expand the id or the message.
+    constexpr std::size_t envelope_bytes = 192;
+    std::string line;
+    line.reserve(response.payload.size() + response.id.size() +
+                 response.error.message.size() + envelope_bytes);
+    doc.write(line);
+    return line;
 }
 
 std::string api_error_json(const api_error& error)

@@ -360,14 +360,22 @@ std::optional<api_error> analysis_service::admit(pending job)
     }
     {
         std::lock_guard<std::mutex> lk(queue_mutex_);
-        // Arrival-rate EWMA for the adaptive coalescing window: smoothed
-        // inter-arrival time in microseconds of the recent request stream.
-        if (arrival_seen_) {
-            const double us =
-                std::chrono::duration<double, std::micro>(now - last_arrival_).count();
-            arrival_ewma_us_ =
-                arrival_ewma_us_ <= 0.0 ? us : 0.8 * arrival_ewma_us_ + 0.2 * us;
-        }
+        // Arrival rate for the adaptive coalescing window: arrivals counted
+        // with a weight that decays in time (50 ms time constant), read as
+        // a mean inter-arrival time in microseconds.  Weighting by time,
+        // not by arrival, averages a closed loop's bursts (one coalesced
+        // batch answers dozens of requests, whose clients all resend at
+        // once) over the gaps between them; a per-arrival EWMA read the
+        // few-microsecond gaps inside a burst, so at 1-2k requests/s, far
+        // below the 5k/s the window is meant for, workers waited before
+        // most batches or before few, depending on timing.
+        constexpr double tau_us = 50000.0;
+        const double gap_us =
+            arrival_seen_
+                ? std::chrono::duration<double, std::micro>(now - last_arrival_).count()
+                : 0.0;
+        arrival_rate_per_us_ = arrival_rate_per_us_ * std::exp(-gap_us / tau_us) + 1.0 / tau_us;
+        arrival_ewma_us_ = 1.0 / arrival_rate_per_us_;
         arrival_seen_ = true;
         last_arrival_ = now;
 

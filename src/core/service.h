@@ -110,9 +110,11 @@ struct service_options {
     std::size_t max_queue_depth = 1024;
 
     /// When coalesce_window is 0, scale a waiting window from the recent
-    /// request arrival rate: under bursty traffic a worker briefly waits
-    /// for merge partners (up to adaptive_window_cap), at low rates it
-    /// never waits — latency is only spent where coalescing can pay.
+    /// request arrival rate (time-weighted over ~50 ms, so a burst is
+    /// averaged with the gap after it): under dense traffic a worker
+    /// briefly waits for merge partners (up to adaptive_window_cap), at
+    /// low rates it never waits — latency is only spent where coalescing
+    /// can pay.
     bool adaptive_window = true;
     std::chrono::microseconds adaptive_window_cap{400};
 
@@ -173,8 +175,9 @@ struct service_metrics {
     std::size_t designs = 0;
     std::size_t versions = 0; ///< live snapshots across every chain
 
-    /// Smoothed inter-arrival time of recent requests (microseconds; 0
-    /// until two requests have arrived) — the adaptive window's input.
+    /// Mean inter-arrival time of recent requests, exponentially weighted
+    /// in time (microseconds; 0 before the first request) — the adaptive
+    /// window's input.
     double arrival_ewma_us = 0.0;
 
     /// Per-design traffic breakdown, sorted by design id.
@@ -325,7 +328,8 @@ private:
     /// Arrival-rate tracking for the adaptive window (under queue_mutex_).
     bool arrival_seen_ = false;
     std::chrono::steady_clock::time_point last_arrival_;
-    double arrival_ewma_us_ = 0.0;
+    double arrival_rate_per_us_ = 0.0; ///< time-decayed arrival count / time constant
+    double arrival_ewma_us_ = 0.0;     ///< its inverse, the mean inter-arrival time
 
     std::vector<std::thread> workers_;
 

@@ -314,10 +314,12 @@ void event_loop_server::accept_ready()
                           "the analysis service is draining for shutdown; retry "
                           "against another instance") +
                 "\n";
+            // Counted before the send, so a peer that sees the refusal
+            // sees the count (the connection-limit refusal below too).
+            counters_->drain_rejected.fetch_add(1, std::memory_order_relaxed);
             [[maybe_unused]] ssize_t n =
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
             ::close(fd);
-            counters_->drain_rejected.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         if (conns_.size() >= options_.max_connections) {
@@ -327,10 +329,10 @@ void event_loop_server::accept_ready()
                                         std::to_string(options_.max_connections) +
                                         "); retry later") +
                 "\n";
+            counters_->rejected.fetch_add(1, std::memory_order_relaxed);
             [[maybe_unused]] ssize_t n =
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
             ::close(fd);
-            counters_->rejected.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         if (options_.so_sndbuf > 0)
@@ -570,11 +572,12 @@ void event_loop_server::close_conn(std::uint64_t conn_id)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end()) return;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd(), nullptr);
-    ::close(it->second->fd());
+    const int fd = it->second->fd();
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     conns_.erase(it);
     counters_->closed.fetch_add(1, std::memory_order_relaxed);
     counters_->active.store(conns_.size(), std::memory_order_relaxed);
+    ::close(fd); // after the counters: a peer that sees the close sees them
 }
 
 void event_loop_server::fail_conn(connection& conn, const char* code,

@@ -7,14 +7,27 @@
 // insertion-ordered objects — not a general-purpose JSON library:
 //
 //   * numbers keep their raw spelling (text), so integer arc ids and exact
-//     "num/den"-adjacent values never round-trip through double;
+//     "num/den"-adjacent values never round-trip through double; the
+//     parser accepts exactly the RFC 8259 number grammar
+//     (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), so "1-2", "--" or
+//     "01" are "malformed JSON value", never a silently truncated number;
+//   * strings decode every RFC 8259 escape, \uXXXX to UTF-8 (a UTF-16
+//     surrogate only as a high-low pair); an unknown, malformed or
+//     unpaired escape is an "invalid escape at offset N" error.  Other bytes
+//     (UTF-8 or not) pass through unchanged;
 //   * object members preserve insertion order (find() is linear — the
 //     documents here have a handful of keys);
 //   * write() emits a compact single-line rendering whose re-parse
-//     reproduces the value exactly (the NDJSON framing guarantee);
-//   * parse errors throw tsg::error with a caller-supplied context prefix,
-//     so "edit script: unexpected end of JSON" keeps naming the surface
-//     the malformed text came from.
+//     reproduces the value exactly (the NDJSON framing guarantee).  It is
+//     one recursive append into a single buffer, linear in the output
+//     size; '"', '\\', \n, \t and \r get their short escapes and every
+//     other control character is written as \u00XX, so each line is
+//     valid JSON whatever bytes a string holds;
+//   * both directions are linear in the document size and the parser
+//     allocates nothing beyond the document on success: diagnostics are
+//     built only once a check fails.  Parse errors throw tsg::error with a
+//     caller-supplied context prefix, so "edit script: unexpected end of
+//     JSON" keeps naming the surface the malformed text came from.
 #ifndef TSG_UTIL_JSON_H
 #define TSG_UTIL_JSON_H
 
@@ -63,6 +76,10 @@ struct json_value {
 
     /// Compact single-line rendering; parse(write()) == *this.
     [[nodiscard]] std::string write() const;
+
+    /// Appends the same rendering to `out` (callers framing a larger line
+    /// reserve once and write into it).
+    void write(std::string& out) const;
 };
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
@@ -70,7 +87,8 @@ struct json_value {
 [[nodiscard]] json_value json_parse(const std::string& text,
                                     const std::string& context = "json");
 
-/// Quotes and escapes a string for embedding in a JSON document.
+/// Quotes and escapes a string for embedding in a JSON document (the
+/// writer's string rendering).
 [[nodiscard]] std::string json_quote(const std::string& s);
 
 } // namespace tsg

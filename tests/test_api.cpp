@@ -190,6 +190,24 @@ TEST(ApiCodec, MalformedDocumentsRejectWithStableCodes)
         R"({"api_version": 1, "kind": "montecarlo",)"
         R"( "options": {"samples": 99999999999999999999}})",
         "bad_request");
+    // Escapes decode strictly: unknown, malformed and unpaired ones reject.
+    expect_rejected(R"({"api_version": 1, "id": "r\q", "kind": "health"})", "bad_request");
+    expect_rejected(R"({"api_version": 1, "id": "r\u003", "kind": "health"})", "bad_request");
+    expect_rejected(R"({"api_version": 1, "id": "r\ud800", "kind": "health"})",
+                    "bad_request");
+    expect_rejected(R"({"api_version": 1, "id": "r\udc00\ud800", "kind": "health"})",
+                    "bad_request");
+    EXPECT_EQ(parse_analysis_request(
+                  R"({"api_version": 1, "id": "r\u0031\b\f", "kind": "health"})")
+                  .id,
+              "r1\b\f");
+    // Numbers follow the RFC 8259 grammar instead of being cut short by
+    // std::stod ("1-2" used to be accepted as 1).
+    for (const char* number : {"1-2", "--", "1-2e+", "-", "01", "1.", ".5", "+1", "1e"})
+        expect_rejected(std::string(R"({"api_version": 1, "kind": "montecarlo", "options": )") +
+                            R"({"epsilon": )" + number + "}}",
+                        "bad_request");
+    expect_rejected(R"({"api_version": 1-2, "kind": "health"})", "bad_request");
 }
 
 TEST(ApiCodec, TruncationFuzzNeverCrashes)

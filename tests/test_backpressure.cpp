@@ -299,6 +299,29 @@ TEST(Backpressure, ArrivalRateEwmaIsTrackedAcrossSubmits)
     EXPECT_GT(service.metrics().arrival_ewma_us, 0.0);
 }
 
+TEST(Backpressure, ABurstAloneDoesNotOpenTheAdaptiveWindow)
+{
+    // The rate is weighted in time: n arrivals, however close together,
+    // count at most n per 50 ms time constant, so a burst of 20 on an idle
+    // service reads as a mean inter-arrival time of at least 2.5 ms (a
+    // per-arrival average would read the microseconds between them).
+    service_options options;
+    options.workers = 1;
+    options.coalesce = false;
+    analysis_service service(options);
+    service.register_design("chip", c_oscillator_sg());
+
+    std::vector<std::future<analysis_response>> burst;
+    for (int i = 0; i < 20; ++i)
+        burst.push_back(service.submit(make_request(request_kind::analyze, std::to_string(i))));
+    for (auto& f : burst) ASSERT_TRUE(f.get().ok);
+    using std::chrono::microseconds;
+    const double mean_gap_us = service.metrics().arrival_ewma_us;
+    EXPECT_GE(mean_gap_us, 2500.0);
+    EXPECT_EQ(analysis_service::adaptive_coalesce_window(mean_gap_us, microseconds{400}),
+              microseconds{0});
+}
+
 TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
 {
     service_options options;

@@ -209,6 +209,7 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::uint64_t> sheds{0};
     std::atomic<std::uint64_t> reconnects{0};
+    std::atomic<std::size_t> calls_done{0};
 
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -229,6 +230,7 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
                     ++failures;
                 else if (outcome.response.payload != expected)
                     ++mismatches;
+                ++calls_done;
             }
             sheds += cl.metrics().sheds_seen;
             reconnects += cl.metrics().reconnects;
@@ -236,10 +238,15 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
     }
 
     // Two rolling-restart steps while the fleet of clients hammers away:
-    // graceful drain, instance replaced on the same port.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // graceful drain, instance replaced on the same port.  Each starts once
+    // a share of the calls is done, not after a fixed delay, so it lands
+    // while the rest are in flight however fast they are served.
+    const auto after_calls = [&](std::size_t n) {
+        EXPECT_TRUE(wait_until([&] { return calls_done.load() >= n; }));
+    };
+    after_calls(clients * per_client / 4);
     harness.restart();
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    after_calls(clients * per_client / 2);
     harness.restart();
 
     for (std::thread& t : threads) t.join();

@@ -42,17 +42,24 @@ using testing::response_ok;
 using testing::script_client;
 using testing::serve_harness;
 
+/// Fragments aimed at the codec's string-escape and number grammars:
+/// valid, malformed and unpaired escapes, and near-numbers.
+const char* const k_fragments[] = {
+    "\\u0031", "\\u00e9", "\\ud83d\\ude00", "\\ud83d", "\\ude00", "\\u00", "\\u12g4", "\\b",
+    "\\f", "\\q", "\\", "-", "--", "1-2", "1-2e+", "e+", ".", "01", "1.", "+1", "1e309"};
+
 std::string mutate(const std::string& base, prng& rng)
 {
     std::string text = base;
     const int edits = static_cast<int>(rng.uniform(1, 8));
     for (int i = 0; i < edits && !text.empty(); ++i) {
         const std::size_t pos = rng.index(text.size());
-        switch (rng.uniform(0, 4)) {
+        switch (rng.uniform(0, 5)) {
         case 0: text.erase(pos, rng.index(4) + 1); break;                      // delete
         case 1: text.insert(pos, 1, static_cast<char>(rng.uniform(32, 126))); break;
         case 2: text[pos] = static_cast<char>(rng.uniform(32, 126)); break;
         case 3: text[pos] = static_cast<char>(rng.uniform(0, 255)); break;    // raw byte
+        case 4: text.insert(pos, k_fragments[rng.index(std::size(k_fragments))]); break;
         default: { // duplicate a slice
             const std::size_t len =
                 std::min<std::size_t>(rng.index(8) + 1, text.size() - pos);
