@@ -10,9 +10,8 @@
 // The TCP transport is the single-threaded epoll event loop
 // (net/event_loop.h): non-blocking sockets, batched sends, bounded
 // per-connection buffers, admission control and slow-client/idle
-// disconnects.  --legacy-threads restores PR 7's thread-per-connection
-// loop (now on the hardened net::fd_streambuf, so a client hanging up
-// mid-response no longer SIGPIPEs the process).
+// disconnects.  Pipe mode serves stdin/stdout directly through
+// analysis_service::serve_stream.
 //
 // Usage:
 //   tsg_serve --pipe [options]            serve stdin/stdout (one client;
@@ -47,8 +46,6 @@
 //   --conn-rps X            per-connection request-rate limit in
 //                           requests/s; 0 disables (default)
 //   --conn-burst X          per-connection rate bucket capacity
-//   --legacy-threads        thread-per-connection transport instead of
-//                           the event loop
 //
 // Lifecycle: SIGTERM or SIGINT triggers a bounded graceful drain on the
 // event-loop transport — the daemon stops taking new work (structured
@@ -61,21 +58,13 @@
 //   {"id": "", "ok": true, ...}
 #include <atomic>
 #include <csignal>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "core/service.h"
 #include "gen/oscillator.h"
 #include "net/event_loop.h"
-#include "net/fd_stream.h"
 #include "sg/sg_io.h"
 #include "util/error.h"
 
@@ -104,60 +93,14 @@ void install_drain_handlers()
     ::sigaction(SIGINT, &sa, nullptr);
 }
 
-void serve_connection(analysis_service& service, int fd)
-{
-    net::fd_streambuf buf(fd);
-    std::istream in(&buf);
-    std::ostream out(&buf);
-    service.serve_stream(in, out);
-    ::close(fd);
-}
-
-/// PR 7's transport, kept behind --legacy-threads: one blocking thread
-/// per connection over the iostream interface.
-int serve_threads(analysis_service& service, int port)
-{
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) {
-        std::cerr << "error: socket: " << std::strerror(errno) << "\n";
-        return 1;
-    }
-    const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        ::listen(listener, 16) < 0) {
-        std::cerr << "error: bind/listen on port " << port << ": "
-                  << std::strerror(errno) << "\n";
-        ::close(listener);
-        return 1;
-    }
-    std::cerr << "tsg_serve: listening on 127.0.0.1:" << port
-              << " (thread per connection)\n";
-
-    std::vector<std::thread> connections;
-    for (;;) {
-        const int fd = ::accept(listener, nullptr, nullptr);
-        if (fd < 0) break;
-        connections.emplace_back(
-            [&service, fd] { serve_connection(service, fd); });
-    }
-    for (std::thread& t : connections) t.join();
-    ::close(listener);
-    return 0;
-}
-
 } // namespace
 
 int main(int argc, char** argv)
 {
     try {
-        // The legacy path writes through fd_streambuf, which uses plain
-        // write() on non-socket fds; keep the process alive either way.
+        // Pipe mode writes responses to stdout with plain write(): a reader
+        // that closes its end must fail the stream (serve_stream then
+        // stops), not kill the daemon with SIGPIPE.
         std::signal(SIGPIPE, SIG_IGN);
 
         std::vector<std::string> args(argv + 1, argv + argc);
@@ -165,7 +108,6 @@ int main(int argc, char** argv)
         service_options options;
         net::event_loop_options loop_options;
         bool pipe = false;
-        bool legacy_threads = false;
         int port = -1;
         std::vector<std::pair<std::string, std::string>> designs; // name -> path
         std::vector<std::string> demos;
@@ -222,8 +164,6 @@ int main(int argc, char** argv)
                 loop_options.limits.max_requests_per_second = std::stod(value());
             } else if (arg == "--conn-burst") {
                 loop_options.limits.rate_burst = std::stod(value());
-            } else if (arg == "--legacy-threads") {
-                legacy_threads = true;
             } else {
                 std::cerr << "error: unrecognized argument '" << arg << "'\n";
                 return 1;
@@ -247,7 +187,6 @@ int main(int argc, char** argv)
             service.serve_stream(std::cin, std::cout);
             return 0;
         }
-        if (legacy_threads) return serve_threads(service, port);
 
         loop_options.port = static_cast<std::uint16_t>(port);
         net::event_loop_server server(service, loop_options);

@@ -90,9 +90,6 @@ struct request_options {
     unsigned max_threads = 0;
     /// SoA lane count: 0 = default (8), 1 = scalar, else 2/4/8/16.
     unsigned lane_width = 0;
-    /// Sparse delta rebinds for single-arc batches.
-    scenario_batch_options::delta_mode delta =
-        scenario_batch_options::delta_mode::auto_detect;
     /// Slack layer per scenario (full critical sets + margins).
     bool with_slack = true;
     /// Witness-cycle extraction per scenario.

@@ -1,6 +1,6 @@
 // Critical-cycle peeling — the backtracking tail of the border sweep,
-// shared by the scalar analysis (core/cycle_time.cpp) and the scenario
-// engine's lane and sparse-delta paths (core/scenario.cpp).
+// shared by the scalar analysis and the lane kernels (core/cycle_time.cpp)
+// that the scenario engine's batches run on (core/scenario.cpp).
 //
 // The unfolded critical walk (origin_0 ~> origin_i*) is a closed walk whose
 // delay/token ratio equals lambda.  It decomposes into simple cycles; their

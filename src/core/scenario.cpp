@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 
-#include "core/critical_cycle.h"
 #include "core/lane_domain.h"
 #include "core/pert.h"
 #include "core/slack.h"
@@ -14,8 +13,6 @@
 namespace tsg {
 
 namespace {
-
-using core_view = compiled_graph::core_view;
 
 /// Canonical cycle identity: causal order kept, rotated so the smallest
 /// arc id leads.
@@ -282,445 +279,6 @@ std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& 
     return st.dom.evicted_count();
 }
 
-// --- sparse delta rebinds ----------------------------------------------------
-
-/// Batch-wide immutable state of the sparse corner path: the common
-/// fixed-point domain every corner lives in, ordered in-adjacency that
-/// reproduces the scalar relaxation order as a gather, and the nominal
-/// base solve (full sentinel time/pred matrices per border run).
-struct sparse_context {
-    std::uint32_t periods = 0;
-    std::int64_t scale = 0; ///< common scale S: every corner's delay is integral in S
-    std::size_t n = 0;      ///< core nodes
-    std::size_t m = 0;      ///< core arcs
-    std::size_t b = 0;      ///< border runs
-
-    std::vector<arc_id> core_of_arc; ///< original arc -> core arc (invalid outside)
-
-    // In-adjacency in exactly the order the scalar sweep generates
-    // candidates for a node: token in-arcs ordered like core.token_arcs,
-    // then token-free in-arcs ordered by (topo position of source, slot in
-    // the source's token-free out run).  Applying strict-improve in this
-    // order reproduces the scalar values *and* predecessor tie-breaks.
-    std::vector<std::uint32_t> in_tok_offset;
-    std::vector<arc_id> in_tok_arcs;
-    std::vector<std::uint32_t> in_tf_offset;
-    std::vector<arc_id> in_tf_arcs;
-
-    // Token out-adjacency (cone stepping across periods) and topo order.
-    std::vector<std::uint32_t> out_tok_offset;
-    std::vector<arc_id> out_tok_arcs;
-    std::vector<std::uint32_t> topo_pos;
-
-    std::vector<std::int64_t> base_delay; ///< per core arc, in scale S
-
-    // Base solve, one sentinel matrix pair per border run: [(p * n) + v].
-    std::vector<node_id> origin;
-    std::vector<std::vector<std::int64_t>> base_time;
-    std::vector<std::vector<arc_id>> base_pred;
-
-    scenario_outcome base_outcome; ///< nominal outcome (non-core / no-op deltas)
-};
-
-/// Per-worker mutable state of the sparse path.  Stale overlay entries are
-/// fenced by the epoch stamps, so nothing is cleared between scenarios.
-struct sparse_worker_state {
-    std::uint32_t epoch = 0;
-    std::vector<std::uint32_t> changed;             ///< [(p * n) + v] == epoch: differs
-    std::vector<std::uint32_t> queued;              ///< [(p * n) + v] == epoch: scheduled
-    std::vector<std::vector<std::int64_t>> ov_time; ///< per run, [(p * n) + v]
-    std::vector<std::vector<arc_id>> ov_pred;
-    std::vector<std::vector<node_id>> changed_nodes; ///< per period, this run
-    std::vector<std::uint32_t> heap;                ///< topo-position min-heap
-    std::vector<arc_id> walk;
-};
-
-/// The scalar border sweep in sentinel form, capturing the full time and
-/// predecessor matrices — the nominal reference the cone re-propagation
-/// patches.  Identical relaxation order (and therefore identical real
-/// values/preds) to the scalar run_sweep; see lane_domain.h for why the
-/// sentinel encoding cannot confuse unreached and real values.
-void sentinel_base_sweep(const core_view& core, const std::vector<std::int64_t>& delay,
-                         node_id origin, std::uint32_t periods,
-                         std::vector<std::int64_t>& time, std::vector<arc_id>& pred)
-{
-    const std::size_t n = core.graph.node_count();
-    time.assign((std::size_t{periods} + 1) * n, lane_domain::unreached);
-    pred.assign((std::size_t{periods} + 1) * n, invalid_arc);
-
-    for (std::uint32_t i = 0; i <= periods; ++i) {
-        std::int64_t* cur = time.data() + std::size_t{i} * n;
-        arc_id* pr = pred.data() + std::size_t{i} * n;
-        if (i == 0) {
-            cur[origin] = 0;
-        } else {
-            const std::int64_t* prev = time.data() + std::size_t{i - 1} * n;
-            for (const arc_id a : core.token_arcs) {
-                const std::int64_t cand = prev[core.graph.from(a)] + delay[a];
-                const node_id w = core.graph.to(a);
-                if (cand > cur[w]) {
-                    cur[w] = cand;
-                    pr[w] = a;
-                }
-            }
-        }
-        for (const node_id v : core.topo) {
-            if (cur[v] < 0) continue;
-            const std::uint32_t first = core.token_free_offset[v];
-            const std::uint32_t last = core.token_free_offset[v + 1];
-            for (std::uint32_t k = first; k < last; ++k) {
-                const arc_id a = core.token_free_arcs[k];
-                const std::int64_t cand = cur[v] + delay[a];
-                const node_id w = core.graph.to(a);
-                if (cand > cur[w]) {
-                    cur[w] = cand;
-                    pr[w] = a;
-                }
-            }
-        }
-    }
-}
-
-/// Evaluates one single-arc-delta scenario by re-propagating only the
-/// perturbed arc's forward cone on top of the base solve.  Returns the
-/// number of arc relaxations performed (the sparse work).
-std::uint64_t sparse_evaluate(const sparse_context& ctx, const compiled_graph& base,
-                              const scenario& s, bool with_slack, bool with_witness,
-                              sparse_worker_state& ws, scenario_outcome& out)
-{
-    const core_view core = base.core();
-    const std::size_t n = ctx.n;
-    const std::uint32_t P = ctx.periods;
-
-    require(s.delay.size() == base.delay().size(),
-            "scenario_engine: delay count does not match the arc count");
-    require(!s.delay[s.delta_arc].is_negative(), "scenario_engine: negative delay");
-#ifndef NDEBUG
-    for (arc_id a = 0; a < s.delay.size(); ++a)
-        if (a != s.delta_arc)
-            ensure(s.delay[a] == base.delay()[a],
-                   "scenario_engine: delta_arc promise violated (delay differs beyond it)");
-#endif
-
-    const arc_id ca = ctx.core_of_arc[s.delta_arc];
-    if (ca == invalid_arc) {
-        // Start-up arcs never move the steady state: the nominal solve is
-        // the answer (slack and critical sets only cover core arcs).
-        out = ctx.base_outcome;
-        return 0;
-    }
-
-    const rational& nd = s.delay[s.delta_arc];
-    const std::int64_t new_scaled =
-        static_cast<std::int64_t>(static_cast<int128>(nd.num()) * (ctx.scale / nd.den()));
-    if (new_scaled == ctx.base_delay[ca]) {
-        out = ctx.base_outcome;
-        return 0;
-    }
-
-    // --- value-driven delta re-propagation per border run -----------------
-    // Classic incremental longest-path: re-relax the perturbed arc's head
-    // (every period it can fire in), then only the nodes whose gathered
-    // value or predecessor actually *differs* from the base solve — a
-    // change that is absorbed (new max equals the old one) stops
-    // propagating immediately.  Most corners touch a handful of nodes; a
-    // corner on the critical path re-relaxes just its downstream arg-max
-    // region.  Gathers apply candidates in the exact scalar relaxation
-    // order (ordered in-adjacency), so every recomputed value *and*
-    // tie-break is bit-identical to a full rebind's sweep.
-    const node_id head = core.graph.to(ca);
-    const bool marked = core.token[ca] != 0;
-    ++ws.epoch;
-    const std::uint32_t epoch = ws.epoch;
-    const std::size_t rows = std::size_t{P} + 1;
-    ws.changed.resize(ctx.b * rows * n, 0);
-    ws.queued.resize(ctx.b * rows * n, 0);
-    ws.ov_time.resize(ctx.b);
-    ws.ov_pred.resize(ctx.b);
-    ws.changed_nodes.resize(rows);
-    std::uint64_t touched = 0;
-
-    const auto delay_of = [&](arc_id a) -> std::int64_t {
-        return a == ca ? new_scaled : ctx.base_delay[a];
-    };
-
-    for (std::size_t k = 0; k < ctx.b; ++k) {
-        ws.ov_time[k].resize(rows * n);
-        ws.ov_pred[k].resize(rows * n);
-        const std::vector<std::int64_t>& bt = ctx.base_time[k];
-        const std::vector<arc_id>& bp = ctx.base_pred[k];
-        std::vector<std::int64_t>& ot = ws.ov_time[k];
-        std::vector<arc_id>& op = ws.ov_pred[k];
-        std::uint32_t* changed = ws.changed.data() + k * rows * n;
-        std::uint32_t* queued = ws.queued.data() + k * rows * n;
-        const node_id origin = ctx.origin[k];
-
-        const auto value_at = [&](std::uint32_t p, node_id v) -> std::int64_t {
-            const std::size_t idx = std::size_t{p} * n + v;
-            return changed[idx] == epoch ? ot[idx] : bt[idx];
-        };
-
-        for (std::uint32_t p = 0; p <= P; ++p) {
-            ws.changed_nodes[p].clear();
-            // Work heap keyed by topo position: sources of any popped node
-            // are either unchanged or already final (pushes only go
-            // forward in topo order within a period).
-            ws.heap.clear();
-            const auto push = [&](node_id v) {
-                const std::size_t idx = std::size_t{p} * n + v;
-                if (queued[idx] != epoch) {
-                    queued[idx] = epoch;
-                    ws.heap.push_back(ctx.topo_pos[v]);
-                    std::push_heap(ws.heap.begin(), ws.heap.end(),
-                                   std::greater<std::uint32_t>());
-                }
-            };
-            if (p > 0 || !marked) push(head);
-            if (p > 0)
-                for (const node_id u : ws.changed_nodes[p - 1])
-                    for (std::uint32_t i = ctx.out_tok_offset[u];
-                         i < ctx.out_tok_offset[u + 1]; ++i)
-                        push(core.graph.to(ctx.out_tok_arcs[i]));
-
-            while (!ws.heap.empty()) {
-                std::pop_heap(ws.heap.begin(), ws.heap.end(),
-                              std::greater<std::uint32_t>());
-                const node_id w = core.topo[ws.heap.back()];
-                ws.heap.pop_back();
-
-                std::int64_t val = (p == 0 && w == origin) ? 0 : lane_domain::unreached;
-                arc_id prd = invalid_arc;
-                if (p > 0) {
-                    for (std::uint32_t i = ctx.in_tok_offset[w]; i < ctx.in_tok_offset[w + 1];
-                         ++i) {
-                        const arc_id a = ctx.in_tok_arcs[i];
-                        const std::int64_t cand =
-                            value_at(p - 1, core.graph.from(a)) + delay_of(a);
-                        if (cand > val) {
-                            val = cand;
-                            prd = a;
-                        }
-                    }
-                    touched += ctx.in_tok_offset[w + 1] - ctx.in_tok_offset[w];
-                }
-                for (std::uint32_t i = ctx.in_tf_offset[w]; i < ctx.in_tf_offset[w + 1];
-                     ++i) {
-                    const arc_id a = ctx.in_tf_arcs[i];
-                    const std::int64_t cand = value_at(p, core.graph.from(a)) + delay_of(a);
-                    if (cand > val) {
-                        val = cand;
-                        prd = a;
-                    }
-                }
-                touched += ctx.in_tf_offset[w + 1] - ctx.in_tf_offset[w];
-
-                const std::size_t idx = std::size_t{p} * n + w;
-                if (val == bt[idx] && prd == bp[idx]) continue; // absorbed: stop here
-                ot[idx] = val;
-                op[idx] = prd;
-                changed[idx] = epoch;
-                if (val != bt[idx]) {
-                    // Value changes propagate; pred-only changes don't (the
-                    // successors' gathers read the value, not the pred).
-                    ws.changed_nodes[p].push_back(w);
-                    for (std::uint32_t i = core.token_free_offset[w];
-                         i < core.token_free_offset[w + 1]; ++i)
-                        push(core.graph.to(core.token_free_arcs[i]));
-                }
-            }
-        }
-    }
-
-    // --- lambda reduction (identical lexicographic order to the scalar) --
-    bool any = false;
-    std::size_t best_run = 0;
-    std::uint32_t best_period = 0;
-    rational lambda;
-    for (std::size_t k = 0; k < ctx.b; ++k) {
-        const std::vector<std::int64_t>& bt = ctx.base_time[k];
-        const std::uint32_t* changed = ws.changed.data() + k * rows * n;
-        for (std::uint32_t i = 1; i <= P; ++i) {
-            const std::size_t idx = std::size_t{i} * n + ctx.origin[k];
-            const std::int64_t v = changed[idx] == epoch ? ws.ov_time[k][idx] : bt[idx];
-            if (v < 0) continue;
-            const rational delta = rational(v, ctx.scale) / rational(i);
-            if (!any || delta > lambda) {
-                any = true;
-                best_run = k;
-                best_period = i;
-                lambda = delta;
-            }
-        }
-    }
-    ensure(any, "analyze_cycle_time: no border simulation closed a cycle within b periods");
-
-    out = scenario_outcome{};
-    out.cycle_time = lambda;
-    out.fixed_point = true; // the common domain fitting implies the scenario's own does
-
-    if (with_witness) {
-        // Witness backtrack through the patched matrices, then the peel in
-        // the common fixed-point domain — identical decisions to the
-        // scalar rational peel (core/critical_cycle.h).
-        ws.walk.clear();
-        node_id v = ctx.origin[best_run];
-        std::uint32_t period = best_period;
-        const std::uint32_t* best_changed = ws.changed.data() + best_run * rows * n;
-        while (!(v == ctx.origin[best_run] && period == 0)) {
-            const std::size_t idx = std::size_t{period} * n + v;
-            const arc_id a = best_changed[idx] == epoch ? ws.ov_pred[best_run][idx]
-                                                        : ctx.base_pred[best_run][idx];
-            ensure(a != invalid_arc, "analyze_cycle_time: broken predecessor chain");
-            ws.walk.push_back(a);
-            period -= core.token[a];
-            v = core.graph.from(a);
-        }
-        std::reverse(ws.walk.begin(), ws.walk.end());
-
-        const std::vector<arc_id> cycle_core =
-            peel_critical_cycle_fixed(core, ws.walk, lambda, ctx.scale, delay_of);
-        std::vector<arc_id> witness;
-        witness.reserve(cycle_core.size());
-        for (const arc_id a : cycle_core) witness.push_back(core.arc_original[a]);
-        out.critical_cycle = canonical_cycle(witness);
-        if (with_slack) {
-            const compiled_graph bound = base.rebind(s.delay);
-            finish_cyclic_outcome(out, bound, true, true, witness);
-        } else {
-            out.critical_arcs = std::move(witness);
-            std::sort(out.critical_arcs.begin(), out.critical_arcs.end());
-        }
-    } else if (with_slack) {
-        const compiled_graph bound = base.rebind(s.delay);
-        finish_cyclic_outcome(out, bound, true, false, {});
-    }
-    return touched;
-}
-
-/// Builds the sparse context, or reports ineligibility (common domain
-/// overflow, base not fixed-point, a corner outside the scale cap, ...).
-bool build_sparse_context(const compiled_graph& base, const std::vector<scenario>& scenarios,
-                          std::uint32_t periods, sparse_context& ctx)
-{
-    if (!base.fixed_point_for_periods(periods)) return false;
-
-    constexpr std::int64_t max_scale = std::numeric_limits<std::int32_t>::max();
-    const int128 budget = std::numeric_limits<std::int64_t>::max() / 4;
-
-    // Common scale S = lcm(base scale, every corner's denominator): every
-    // corner's whole assignment is integral in S, so one base solve in S
-    // serves the entire batch.  (Each scenario's own rebind scale divides
-    // S, so "fits in S" implies the scalar path would stay fixed-point too
-    // — per-scenario fixed_point flags are exact.)
-    std::int64_t scale = base.scale();
-    for (const scenario& s : scenarios) {
-        if (s.delta_arc >= base.delay().size()) return false;
-        const std::int64_t den = s.delay.size() == base.delay().size()
-                                     ? s.delay[s.delta_arc].den()
-                                     : 1; // size validated later, per scenario
-        if (scale % den == 0) continue;
-        const std::int64_t g = std::gcd(scale, den);
-        const int128 candidate = static_cast<int128>(scale / g) * den;
-        if (candidate > max_scale) return false;
-        scale = static_cast<std::int64_t>(candidate);
-    }
-
-    // Re-scale the base assignment into S and bound the total delay mass a
-    // P-period sweep can accumulate, corner deltas included.
-    const std::int64_t mult = scale / base.scale();
-    const std::vector<std::int64_t>& base_scaled = base.scaled_delay();
-    int128 total = 0;
-    for (const std::int64_t d : base_scaled) {
-        const int128 v = static_cast<int128>(d) * mult;
-        if (v > std::numeric_limits<std::int64_t>::max()) return false;
-        total += v;
-    }
-    int128 worst_extra = 0;
-    for (const scenario& s : scenarios) {
-        if (s.delay.size() != base.delay().size()) return false;
-        const rational& nd = s.delay[s.delta_arc];
-        if (nd.is_negative()) return false;
-        const int128 new_scaled = static_cast<int128>(nd.num()) * (scale / nd.den());
-        if (new_scaled > std::numeric_limits<std::int64_t>::max()) return false;
-        const int128 extra =
-            new_scaled - static_cast<int128>(base_scaled[s.delta_arc]) * mult;
-        worst_extra = std::max(worst_extra, extra);
-    }
-    if (static_cast<int128>(periods + 1) * (total + worst_extra) > budget) return false;
-
-    const core_view core = base.core();
-    ctx.periods = periods;
-    ctx.scale = scale;
-    ctx.n = core.graph.node_count();
-    ctx.m = core.graph.arc_count();
-    ctx.b = base.source().border_events().size();
-
-    ctx.core_of_arc.assign(base.delay().size(), invalid_arc);
-    for (arc_id a = 0; a < ctx.m; ++a) ctx.core_of_arc[core.arc_original[a]] = a;
-
-    ctx.base_delay.resize(ctx.m);
-    for (arc_id a = 0; a < ctx.m; ++a)
-        ctx.base_delay[a] = core.scaled_delay[a] * mult;
-
-    // Ordered in-adjacency: token in-arcs in core.token_arcs order...
-    ctx.topo_pos.assign(ctx.n, 0);
-    for (std::size_t i = 0; i < core.topo.size(); ++i) ctx.topo_pos[core.topo[i]] = i;
-
-    ctx.in_tok_offset.assign(ctx.n + 1, 0);
-    ctx.out_tok_offset.assign(ctx.n + 1, 0);
-    for (const arc_id a : core.token_arcs) {
-        ++ctx.in_tok_offset[core.graph.to(a) + 1];
-        ++ctx.out_tok_offset[core.graph.from(a) + 1];
-    }
-    for (std::size_t v = 0; v < ctx.n; ++v) {
-        ctx.in_tok_offset[v + 1] += ctx.in_tok_offset[v];
-        ctx.out_tok_offset[v + 1] += ctx.out_tok_offset[v];
-    }
-    ctx.in_tok_arcs.resize(core.token_arcs.size());
-    ctx.out_tok_arcs.resize(core.token_arcs.size());
-    {
-        std::vector<std::uint32_t> in_cur(ctx.in_tok_offset.begin(),
-                                          ctx.in_tok_offset.end() - 1);
-        std::vector<std::uint32_t> out_cur(ctx.out_tok_offset.begin(),
-                                           ctx.out_tok_offset.end() - 1);
-        for (const arc_id a : core.token_arcs) {
-            ctx.in_tok_arcs[in_cur[core.graph.to(a)]++] = a;
-            ctx.out_tok_arcs[out_cur[core.graph.from(a)]++] = a;
-        }
-    }
-
-    // ...and token-free in-arcs ordered by (topo position of the source,
-    // slot within the source's token-free out run) — the exact candidate
-    // order of the scalar scatter sweep.
-    ctx.in_tf_offset.assign(ctx.n + 1, 0);
-    for (const arc_id a : core.token_free_arcs) ++ctx.in_tf_offset[core.graph.to(a) + 1];
-    for (std::size_t v = 0; v < ctx.n; ++v) ctx.in_tf_offset[v + 1] += ctx.in_tf_offset[v];
-    ctx.in_tf_arcs.resize(core.token_free_arcs.size());
-    {
-        std::vector<std::uint32_t> cur(ctx.in_tf_offset.begin(), ctx.in_tf_offset.end() - 1);
-        for (const node_id v : core.topo)
-            for (std::uint32_t k = core.token_free_offset[v]; k < core.token_free_offset[v + 1];
-                 ++k) {
-                const arc_id a = core.token_free_arcs[k];
-                ctx.in_tf_arcs[cur[core.graph.to(a)]++] = a;
-            }
-    }
-
-    // Nominal base solve per border run.
-    const std::vector<event_id>& border = base.source().border_events();
-    ctx.origin.resize(ctx.b);
-    ctx.base_time.resize(ctx.b);
-    ctx.base_pred.resize(ctx.b);
-    for (std::size_t k = 0; k < ctx.b; ++k) {
-        const node_id origin = core.event_node[border[k]];
-        ensure(origin != invalid_node, "analyze_cycle_time: border event outside the core");
-        ctx.origin[k] = origin;
-        sentinel_base_sweep(core, ctx.base_delay, origin, periods, ctx.base_time[k],
-                            ctx.base_pred[k]);
-    }
-    return true;
-}
-
 } // namespace
 
 thread_pool& scenario_engine::acquire_pool(unsigned max_threads) const
@@ -755,15 +313,8 @@ scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenario
         out.dense_sweep_arcs = std::uint64_t{base_->source().border_events().size()} *
                                (std::uint64_t{periods} + 1) * base_->core().graph.arc_count();
 
-    cycle_time_solver solver = resolve_batch_solver(*base_, options.solver);
+    const cycle_time_solver solver = resolve_batch_solver(*base_, options.solver);
     const unsigned width = options.lane_width == 0 ? 8 : options.lane_width;
-    if (options.delta == scenario_batch_options::delta_mode::sparse &&
-        options.solver == cycle_time_solver::auto_select &&
-        solver == cycle_time_solver::howard)
-        solver = cycle_time_solver::border_sweep; // sparse was requested: it runs there
-    require(!(options.delta == scenario_batch_options::delta_mode::sparse &&
-              solver == cycle_time_solver::howard),
-            "scenario_engine::run: sparse delta rebinds run on the border-sweep solver");
 
     if (solver == cycle_time_solver::howard && cyclic) {
         // Static contiguous chunks, one warm chain per worker: scenario i
@@ -781,103 +332,36 @@ scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenario
                     evaluate_howard_warm(*base_, scenarios[i].delay, p, state,
                                          options.with_slack, options.with_witness);
         });
+    } else if (const std::size_t groups = width > 1 ? scenarios.size() / width : 0;
+               groups > 0) {
+        // Lane path: fixed-width groups (boundaries independent of the
+        // thread layout), scalar epilogue for the tail.
+        std::vector<lane_worker_state> states(pool.thread_count());
+        std::vector<std::size_t> evictions(groups, 0);
+        pool.for_index(groups, [&](std::size_t g, unsigned worker) {
+            evictions[g] = run_lane_group(*this, *base_, scenarios.data() + g * width, width,
+                                          cyclic, periods, options.with_slack,
+                                          options.with_witness, solver, states[worker],
+                                          out.outcomes.data() + g * width);
+        });
+        for (const std::size_t e : evictions) out.lane_evictions += e;
+        for (const lane_worker_state& st : states) {
+            out.lane_rows_reused += st.dom.rows_reused();
+            out.lane_rows_repacked += st.dom.rows_repacked();
+        }
+        out.lane_groups = groups;
+        out.lane_scenarios = groups * width - out.lane_evictions;
+        for (std::size_t i = groups * width; i < scenarios.size(); ++i)
+            out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1, solver,
+                                       options.with_witness);
+        out.scalar_scenarios = scenarios.size() - groups * width + out.lane_evictions;
     } else {
-        // Sparse delta rebinds for single-arc-perturbation batches.
-        using delta_mode = scenario_batch_options::delta_mode;
-        bool sparse_done = false;
-        if (options.delta != delta_mode::dense && cyclic &&
-            solver == cycle_time_solver::border_sweep) {
-            bool all_delta = true;
-            for (const scenario& s : scenarios) all_delta &= s.delta_arc != invalid_arc;
-            sparse_context ctx;
-            if (all_delta && build_sparse_context(*base_, scenarios, periods, ctx)) {
-                // auto_detect probes before committing: the sparse cost is
-                // value-dependent (how far each corner's delta propagates),
-                // so evaluate a deterministic sample and compare the arcs
-                // it actually touched against one dense sweep, scaled by
-                // the dense path's SIMD advantage.  Corners that the max
-                // absorbs cost O(1); corners on the arg-max re-relax their
-                // downstream region and can make dense lanes the better
-                // engine.
-                bool engage = options.delta == delta_mode::sparse;
-                if (!engage) {
-                    sparse_worker_state probe_ws;
-                    scenario_outcome discard;
-                    const std::size_t probes = std::min<std::size_t>(scenarios.size(), 16);
-                    std::uint64_t probe_touched = 0;
-                    for (std::size_t i = 0; i < probes; ++i) {
-                        const std::size_t idx =
-                            i * (scenarios.size() - 1) / std::max<std::size_t>(probes - 1, 1);
-                        probe_touched += sparse_evaluate(ctx, *base_, scenarios[idx],
-                                                         /*with_slack=*/false,
-                                                         /*with_witness=*/false, probe_ws,
-                                                         discard);
-                    }
-                    // ~6 scalar gather-ops buy one SIMD lane-slot relax.
-                    engage = probe_touched * 6 <= probes * out.dense_sweep_arcs;
-                }
-                if (engage) {
-                    ctx.base_outcome = evaluate(base_->delay(), options.with_slack, 1,
-                                                solver, options.with_witness);
-                    std::vector<sparse_worker_state> states(pool.thread_count());
-                    std::vector<std::uint64_t> touched(scenarios.size(), 0);
-                    pool.for_index(scenarios.size(), [&](std::size_t i, unsigned worker) {
-                        touched[i] = sparse_evaluate(ctx, *base_, scenarios[i],
-                                                     options.with_slack,
-                                                     options.with_witness, states[worker],
-                                                     out.outcomes[i]);
-                    });
-                    for (const std::uint64_t t : touched) out.sparse_arcs_touched += t;
-                    out.sparse_scenarios = scenarios.size();
-                    sparse_done = true;
-                }
-            } else {
-                require(options.delta != delta_mode::sparse,
-                        "scenario_engine::run: sparse delta rebinds requested but the "
-                        "batch is ineligible (every scenario needs delta_arc, a cyclic "
-                        "graph, the border-sweep solver and a common fixed-point domain)");
-            }
-        } else {
-            require(options.delta != delta_mode::sparse,
-                    "scenario_engine::run: sparse delta rebinds requested but the "
-                    "batch is ineligible (every scenario needs delta_arc, a cyclic "
-                    "graph, the border-sweep solver and a common fixed-point domain)");
-        }
-
-        if (!sparse_done) {
-            const std::size_t groups = width > 1 ? scenarios.size() / width : 0;
-            if (groups > 0) {
-                // Lane path: fixed-width groups (boundaries independent of
-                // the thread layout), scalar epilogue for the tail.
-                std::vector<lane_worker_state> states(pool.thread_count());
-                std::vector<std::size_t> evictions(groups, 0);
-                pool.for_index(groups, [&](std::size_t g, unsigned worker) {
-                    evictions[g] = run_lane_group(
-                        *this, *base_, scenarios.data() + g * width, width, cyclic, periods,
-                        options.with_slack, options.with_witness, solver, states[worker],
-                        out.outcomes.data() + g * width);
-                });
-                for (const std::size_t e : evictions) out.lane_evictions += e;
-                for (const lane_worker_state& st : states) {
-                    out.lane_rows_reused += st.dom.rows_reused();
-                    out.lane_rows_repacked += st.dom.rows_repacked();
-                }
-                out.lane_groups = groups;
-                out.lane_scenarios = groups * width - out.lane_evictions;
-                for (std::size_t i = groups * width; i < scenarios.size(); ++i)
-                    out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1,
-                                               solver, options.with_witness);
-                out.scalar_scenarios =
-                    scenarios.size() - groups * width + out.lane_evictions;
-            } else {
-                // Scalar path (forced, or batch smaller than one group).
-                pool.for_index(scenarios.size(), [&](std::size_t i, unsigned) {
-                    out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1,
-                                               solver, options.with_witness);
-                });
-                out.scalar_scenarios = scenarios.size();
-            }
-        }
+        // Scalar path (forced, or batch smaller than one group).
+        pool.for_index(scenarios.size(), [&](std::size_t i, unsigned) {
+            out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1, solver,
+                                       options.with_witness);
+        });
+        out.scalar_scenarios = scenarios.size();
     }
 
     // Serial reduction in scenario order — the batch result is independent
@@ -951,7 +435,7 @@ std::vector<scenario> corner_sweep_scenarios(const signal_graph& sg,
             s.label = "arc " + std::to_string(a) + " (" + name + ") x" + factor.str();
             s.delay = nominal;
             s.delay[a] = nominal[a] * factor;
-            s.delta_arc = a; // single-arc promise: enables sparse delta rebinds
+            s.delta_arc = a; // single-arc promise: the lane path reuses base rows
             out.push_back(std::move(s));
         }
     }

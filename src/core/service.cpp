@@ -93,12 +93,12 @@ namespace {
 bool engine_compatible(const request_options& a, const request_options& b)
 {
     return a.solver == b.solver && a.max_threads == b.max_threads &&
-           a.lane_width == b.lane_width && a.delta == b.delta &&
-           a.with_slack == b.with_slack && a.with_witness == b.with_witness;
+           a.lane_width == b.lane_width && a.with_slack == b.with_slack &&
+           a.with_witness == b.with_witness;
 }
 
 /// A sliced response reports the merged run's physical engine accounting
-/// (the lane/sparse counters describe how the batch actually executed);
+/// (the lane counters describe how the batch actually executed);
 /// every per-request aggregate is re-reduced from the outcome slice.
 void copy_engine_accounting(const scenario_batch_result& from, scenario_batch_result& to)
 {
@@ -108,8 +108,6 @@ void copy_engine_accounting(const scenario_batch_result& from, scenario_batch_re
     to.lane_rows_reused = from.lane_rows_reused;
     to.lane_rows_repacked = from.lane_rows_repacked;
     to.scalar_scenarios = from.scalar_scenarios;
-    to.sparse_scenarios = from.sparse_scenarios;
-    to.sparse_arcs_touched = from.sparse_arcs_touched;
     to.dense_sweep_arcs = from.dense_sweep_arcs;
 }
 

@@ -25,7 +25,7 @@
 //     reduce_scenario_outcomes(), so every aggregate (min/max/mean,
 //     criticality counts, critical-cycle table, fallback tally) is
 //     bit-identical to running that request alone.  Only the engine
-//     accounting block (lane groups, sparse counters) reports the merged
+//     accounting block (lane groups, scalar tally) reports the merged
 //     batch's physical execution — the one documented difference.
 //
 // Serving metrics dogfood the statistical layer: per-request latencies
@@ -46,10 +46,10 @@
 // Transport is the caller's problem: submit() is the in-process API
 // (thread-safe, returns a future), submit_async() the callback flavour
 // the epoll transport (net/event_loop.h) drives, and serve_stream()
-// speaks newline-delimited JSON over any iostream pair (the pipe mode
-// tests and examples/tsg_serve.cpp's legacy socket loop both sit on
-// it).  serve_stream handles one request per line in order, so a stream
-// replay is byte-identical to running the tool once per request.
+// speaks newline-delimited JSON over any iostream pair (tsg_serve's
+// pipe mode and the tests sit on it).  serve_stream handles one request
+// per line in order, so a stream replay is byte-identical to running the
+// tool once per request.
 #ifndef TSG_CORE_SERVICE_H
 #define TSG_CORE_SERVICE_H
 

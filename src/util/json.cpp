@@ -12,7 +12,10 @@ namespace tsg {
 
 namespace {
 
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); } // as std::isspace
+/// RFC 8259 whitespace: space, tab, line feed and carriage return only.
+bool is_space(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+/// U+0000..U+001F, which a string may only carry escaped.
+bool is_control(char c) { return static_cast<unsigned char>(c) < 0x20; }
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 bool is_number_char(char c) { return is_digit(c) || (c != '\0' && std::strchr("+-.eE", c)); }
 
@@ -85,10 +88,13 @@ std::string parse_string(cursor& in)
     const std::string& text = in.text;
     std::string out;
     while (true) {
-        const std::size_t run = in.pos; // copy everything up to the next '"' or '\'
-        while (in.pos < text.size() && text[in.pos] != '"' && text[in.pos] != '\\') ++in.pos;
+        const std::size_t run = in.pos; // copy up to the next '"', '\' or control byte
+        while (in.pos < text.size() && text[in.pos] != '"' && text[in.pos] != '\\' &&
+               !is_control(text[in.pos]))
+            ++in.pos;
         out.append(text, run, in.pos - run);
         if (in.pos == text.size()) in.fail("unterminated string");
+        if (is_control(text[in.pos])) in.fail_at("unescaped control character in string", in.pos);
         if (text[in.pos++] == '"') return out;
         if (in.pos == text.size()) in.fail("dangling escape");
         static constexpr std::string_view escapes = "\"\\/bfnrt", decoded = "\"\\/\b\f\n\r\t";

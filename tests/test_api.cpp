@@ -54,7 +54,6 @@ TEST(ApiCodec, LoadedOptionsRoundTrip)
     request.options.solver = cycle_time_solver::howard;
     request.options.max_threads = 3;
     request.options.lane_width = 16;
-    request.options.delta = scenario_batch_options::delta_mode::sparse;
     request.options.with_slack = false;
     request.options.with_witness = false;
     request.options.factor = rational(3, 7);
@@ -94,10 +93,6 @@ TEST(ApiCodec, FuzzedRequestsRoundTrip)
     const cycle_time_solver solvers[] = {cycle_time_solver::auto_select,
                                          cycle_time_solver::border_sweep,
                                          cycle_time_solver::howard};
-    const scenario_batch_options::delta_mode deltas[] = {
-        scenario_batch_options::delta_mode::auto_detect,
-        scenario_batch_options::delta_mode::dense,
-        scenario_batch_options::delta_mode::sparse};
     const request_kind kinds[] = {request_kind::analyze,  request_kind::sweep,
                                   request_kind::montecarlo, request_kind::criticality,
                                   request_kind::optimize, request_kind::report_topk,
@@ -116,7 +111,6 @@ TEST(ApiCodec, FuzzedRequestsRoundTrip)
         o.solver = solvers[rng.index(std::size(solvers))];
         o.max_threads = static_cast<unsigned>(rng.uniform(0, 8));
         o.lane_width = static_cast<unsigned>(rng.chance(0.5) ? 0 : 1 << rng.uniform(1, 4));
-        o.delta = deltas[rng.index(std::size(deltas))];
         o.with_slack = rng.chance(0.5);
         o.with_witness = rng.chance(0.5);
         o.factor = rational(rng.uniform(1, 99), rng.uniform(1, 99));
@@ -208,6 +202,21 @@ TEST(ApiCodec, MalformedDocumentsRejectWithStableCodes)
                             R"({"epsilon": )" + number + "}}",
                         "bad_request");
     expect_rejected(R"({"api_version": 1-2, "kind": "health"})", "bad_request");
+}
+
+TEST(ApiCodec, RetiredDeltaOptionIsUnknown)
+{
+    // The corner-strategy option went with the sparse delta engine; a
+    // request still carrying it is rejected, not silently ignored.
+    try {
+        (void)parse_analysis_request(
+            R"({"api_version": 1, "kind": "sweep", "options": {"delta": "auto"}})");
+        FAIL() << "accepted a request carrying \"delta\"";
+    } catch (const error& e) {
+        const api_error err = classify_error(e.what(), "internal");
+        EXPECT_EQ(err.code, "bad_request");
+        EXPECT_EQ(err.message, "unknown option \"delta\"");
+    }
 }
 
 TEST(ApiCodec, TruncationFuzzNeverCrashes)

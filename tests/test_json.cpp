@@ -9,7 +9,8 @@
 //     canonical request per kind) must equal tests/codec/wire_lines.ndjson,
 //     recorded with the previous, stream-based writer; the diagnostics
 //     of a malformed-document corpus (including every "at offset N") are
-//     pinned the same way;
+//     pinned the same way, raw control bytes in strings and non-RFC
+//     whitespace included;
 //   * escapes — \uXXXX decodes to UTF-8 (surrogates only as pairs), \b
 //     and \f decode, unknown/malformed/unpaired escapes reject, and every
 //     control character is written as an escape;
@@ -269,6 +270,12 @@ const diagnostic_case malformed_corpus[] = {
      "edit script: expected ':' at offset 16"},
     {"  {\"x\": \"y\"}  ]", "request", "request: trailing garbage after the document"},
     {"{\"a\": \"b\"\n}\n\n,", "request", "request: trailing garbage after the document"},
+    // Not from the recording (that parser accepted them): RFC 8259 forbids
+    // raw control bytes inside strings and whitespace beyond space/\t/\n/\r.
+    {"[\"a\x01\",\v\f1]", "json", "json: unescaped control character in string at offset 3"},
+    {"\"tab\there\"", "json", "json: unescaped control character in string at offset 4"},
+    {"[1,\v\f1]", "json", "json: malformed JSON value"},
+    {"\f1", "json", "json: malformed JSON value"},
 };
 
 TEST(JsonCodec, DiagnosticsMatchTheRecording)

@@ -1,11 +1,13 @@
-// Lane-batched scenario engine: the SoA lane path, the sparse delta path
-// and the supporting satellites must be bit-identical to the scalar serial
-// path in every observable field, across lane widths, batch tails,
-// per-lane evictions and delta modes.
+// Lane-batched scenario engine: the SoA lane path and the supporting
+// satellites must be bit-identical to the scalar serial path in every
+// observable field, across lane widths, batch tails, per-lane evictions
+// and delta-hinted row reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "core/compiled_graph.h"
 #include "core/cycle_time.h"
@@ -42,8 +44,8 @@ signal_graph random_fractional_graph(std::uint64_t seed, std::uint32_t events)
 
 /// A ring of stages with a dominant and a slack arc per stage: corners on
 /// the slack arcs stay strictly below the dominant delay, so the max
-/// absorbs them instantly and the sparse delta path touches O(1) arcs per
-/// corner — the shape where sparse rebinds are strongly sub-linear.
+/// absorbs them instantly — the absorption topology, where a corner's
+/// delta never reaches the cycle time.
 signal_graph slack_pair_ring(std::uint32_t stages)
 {
     sg_builder b;
@@ -258,127 +260,62 @@ TEST(LaneBatch, SingleLaneOverflowEvictionLeavesSiblingsExact)
 
 TEST(LaneBatch, DeltaHintedLanesReuseBaseRowsAndMatchScalar)
 {
-    const signal_graph sg = random_fractional_graph(21, 24);
-    const compiled_graph base(sg);
-    ASSERT_TRUE(base.fixed_point());
-    const scenario_engine engine(base);
+    // Two topologies.  A random graph with integer-multiplier corners (2d
+    // and 3d) on every arc: the perturbed denominator equals the nominal
+    // one, so every hinted lane can adopt the base scale and reuse its
+    // scaled rows wholesale.  And the absorption ring with +/-10% corners
+    // on its slack arcs, whose deltas the dominant arcs' maxima absorb.
+    struct input {
+        const char* name;
+        signal_graph sg;
+        std::vector<rational> factors;
+        bool slack_arcs_only;
+    };
+    const input inputs[] = {
+        {"random", random_fractional_graph(21, 24), {rational(2), rational(3)}, false},
+        {"absorption ring", slack_pair_ring(48), {rational(9, 10), rational(11, 10)}, true},
+    };
 
-    // Integer-multiplier corners (2d and 3d): the perturbed denominator
-    // equals the nominal one, so every hinted lane can adopt the base
-    // scale and reuse its scaled rows wholesale.
-    std::vector<scenario> corners;
-    for (arc_id a = 0; a < sg.arc_count(); ++a) {
-        for (const std::int64_t mult : {2, 3}) {
-            scenario s;
-            s.label = "arc" + std::to_string(a) + "x" + std::to_string(mult);
-            s.delay = base.delay();
-            s.delay[a] = s.delay[a] * rational(mult);
-            s.delta_arc = a;
-            corners.push_back(std::move(s));
-        }
-    }
-    ASSERT_FALSE(corners.empty());
-
-    for (const bool with_slack : {false, true}) {
-        scenario_batch_options scalar;
-        scalar.lane_width = 1;
-        scalar.with_slack = with_slack;
-        scalar.solver = cycle_time_solver::border_sweep;
-        scalar.delta = scenario_batch_options::delta_mode::dense;
-        const scenario_batch_result reference = engine.run(corners, scalar);
-        EXPECT_EQ(reference.lane_rows_reused, 0u);
-
-        scenario_batch_options lanes = scalar;
-        lanes.lane_width = 8;
-        const scenario_batch_result batch = engine.run(corners, lanes);
-        expect_outcomes_equal(reference, batch,
-                              with_slack ? "hinted+slack" : "hinted lanes");
-        EXPECT_EQ(batch.lane_evictions, 0u);
-        EXPECT_GT(batch.lane_rows_reused, 0u);
-        // Each hinted lane re-packs exactly its dirty row (when the swept
-        // arc is in the core); nothing else goes through the rescale.
-        EXPECT_LE(batch.lane_rows_repacked, batch.lane_groups * 8);
-    }
-}
-
-TEST(LaneBatch, SparseDeltaCornerSweepMatchesDenseRebinds)
-{
-    for (const std::uint64_t seed : {1u, 9u}) {
-        const signal_graph sg = random_fractional_graph(seed, 28);
-        const compiled_graph base(sg);
+    for (const input& in : inputs) {
+        const compiled_graph base(in.sg);
+        ASSERT_TRUE(base.fixed_point()) << in.name;
         const scenario_engine engine(base);
-        const std::vector<scenario> corners = corner_sweep_scenarios(sg);
-        ASSERT_FALSE(corners.empty());
+
+        std::vector<scenario> corners;
+        for (arc_id a = 0; a < in.sg.arc_count(); ++a) {
+            if (in.slack_arcs_only && in.sg.arc(a).delay != rational(10)) continue;
+            for (const rational& factor : in.factors) {
+                scenario s;
+                s.label = "arc" + std::to_string(a) + "x" + factor.str();
+                s.delay = base.delay();
+                s.delay[a] = s.delay[a] * factor;
+                s.delta_arc = a;
+                corners.push_back(std::move(s));
+            }
+        }
+        ASSERT_GE(corners.size(), 10u) << in.name;
 
         for (const bool with_slack : {false, true}) {
-            scenario_batch_options dense;
-            dense.delta = scenario_batch_options::delta_mode::dense;
-            dense.with_slack = with_slack;
-            dense.solver = cycle_time_solver::border_sweep;
-            scenario_batch_options sparse = dense;
-            sparse.delta = scenario_batch_options::delta_mode::sparse;
+            const std::string what = std::string(in.name) + (with_slack ? " +slack" : "");
+            scenario_batch_options scalar;
+            scalar.lane_width = 1;
+            scalar.with_slack = with_slack;
+            scalar.solver = cycle_time_solver::border_sweep;
+            const scenario_batch_result reference = engine.run(corners, scalar);
+            EXPECT_EQ(reference.lane_rows_reused, 0u) << what;
 
-            const scenario_batch_result d = engine.run(corners, dense);
-            const scenario_batch_result s = engine.run(corners, sparse);
-            expect_outcomes_equal(d, s, with_slack ? "sparse+slack" : "sparse");
-            EXPECT_EQ(s.sparse_scenarios, corners.size());
-            EXPECT_EQ(d.sparse_scenarios, 0u);
-            EXPECT_GT(s.sparse_arcs_touched, 0u);
+            scenario_batch_options lanes = scalar;
+            lanes.lane_width = 8;
+            const scenario_batch_result batch = engine.run(corners, lanes);
+            expect_outcomes_equal(reference, batch, what.c_str());
+            EXPECT_EQ(batch.lane_evictions, 0u) << what;
+            EXPECT_GT(batch.lane_rows_reused, 0u) << what;
+            // Each hinted lane re-packs exactly its dirty row (when the
+            // swept arc is in the core); nothing else goes through the
+            // rescale.
+            EXPECT_LE(batch.lane_rows_repacked, batch.lane_groups * 8) << what;
         }
     }
-}
-
-TEST(LaneBatch, SparseDeltaTouchesSubLinearArcsOnAbsorbedCorners)
-{
-    // +/-10% corners on the slack arcs never displace the dominant arcs'
-    // maxima, so each corner's delta dies at its head node: the per-corner
-    // arc work must be far below one dense multi-period sweep.
-    const signal_graph sg = slack_pair_ring(48);
-    const compiled_graph base(sg);
-    const scenario_engine engine(base);
-
-    std::vector<scenario> corners;
-    std::vector<rational> nominal;
-    for (arc_id a = 0; a < sg.arc_count(); ++a) nominal.push_back(sg.arc(a).delay);
-    for (arc_id a = 0; a < sg.arc_count(); ++a) {
-        if (sg.arc(a).delay != rational(10)) continue; // slack arcs only
-        for (const int sign : {-1, +1}) {
-            scenario s;
-            s.label = "corner " + std::to_string(a) + (sign < 0 ? "-" : "+");
-            s.delay = nominal;
-            s.delay[a] = nominal[a] * (rational(1) + rational(sign, 10));
-            s.delta_arc = a;
-            corners.push_back(std::move(s));
-        }
-    }
-    ASSERT_GE(corners.size(), 10u);
-
-    scenario_batch_options sparse;
-    sparse.delta = scenario_batch_options::delta_mode::sparse;
-    sparse.with_slack = false;
-    sparse.solver = cycle_time_solver::border_sweep;
-    const scenario_batch_result s = engine.run(corners, sparse);
-    EXPECT_EQ(s.sparse_scenarios, corners.size());
-
-    // Sub-linear: the average per-corner re-propagation touches a small
-    // fraction of what one dense sweep relaxes.
-    const double per_corner = static_cast<double>(s.sparse_arcs_touched) /
-                              static_cast<double>(s.sparse_scenarios);
-    EXPECT_LT(per_corner, static_cast<double>(s.dense_sweep_arcs) / 8.0)
-        << "arcs/corner " << per_corner << " vs dense " << s.dense_sweep_arcs;
-
-    // And the auto heuristic picks the sparse path here by itself.
-    scenario_batch_options aut;
-    aut.with_slack = false;
-    aut.solver = cycle_time_solver::border_sweep;
-    const scenario_batch_result auto_run = engine.run(corners, aut);
-    EXPECT_EQ(auto_run.sparse_scenarios, corners.size());
-    expect_outcomes_equal(s, auto_run, "auto sparse");
-
-    // Dense agreement on this topology too.
-    scenario_batch_options dense = aut;
-    dense.delta = scenario_batch_options::delta_mode::dense;
-    expect_outcomes_equal(engine.run(corners, dense), s, "localized sparse vs dense");
 }
 
 TEST(LaneBatch, MonteCarloGenerationIsLaneStableAcrossThreadCounts)
@@ -449,22 +386,6 @@ TEST(LaneBatch, ThreadPoolRunsEveryIndexAndPropagatesErrors)
     std::atomic<int> count{0};
     pool.for_index(10, [&](std::size_t, unsigned) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 10);
-}
-
-TEST(LaneBatch, ForcedSparseOnIneligibleBatchThrows)
-{
-    const signal_graph sg = random_fractional_graph(5, 16);
-    const compiled_graph base(sg);
-    const scenario_engine engine(base);
-
-    monte_carlo_options mc;
-    mc.samples = 4;
-    mc.seed = 1;
-    const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, mc); // no delta_arc
-
-    scenario_batch_options sparse;
-    sparse.delta = scenario_batch_options::delta_mode::sparse;
-    EXPECT_THROW((void)engine.run(scenarios, sparse), error);
 }
 
 } // namespace

@@ -488,6 +488,60 @@ TEST(Service, ServeStreamAnswersInOrderAndMatchesTheTool)
     EXPECT_EQ(*r2.find("payload"), json_parse(tool.payload));
 }
 
+/// An output sink that accepts `budget` bytes and then fails every write,
+/// like a pipe whose reader went away mid-response.
+class failing_sink : public std::streambuf {
+public:
+    explicit failing_sink(std::size_t budget) : budget_(budget) {}
+
+protected:
+    int_type overflow(int_type ch) override
+    {
+        if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
+        if (budget_ == 0) return traits_type::eof();
+        --budget_;
+        return ch;
+    }
+
+    std::streamsize xsputn(const char*, std::streamsize n) override
+    {
+        const auto taken = std::min<std::streamsize>(n, static_cast<std::streamsize>(budget_));
+        budget_ -= static_cast<std::size_t>(taken);
+        return taken;
+    }
+
+private:
+    std::size_t budget_;
+};
+
+TEST(Service, ServeStreamStopsWhenItsOutputFailsMidResponse)
+{
+    service_options options;
+    options.workers = 1;
+    analysis_service service(options);
+    service.register_design("chip", c_oscillator_sg());
+
+    // 64 queued sweeps (~3 KB of response each) against a sink that dies
+    // inside the second response: the loop must notice the failed stream
+    // and return instead of executing the rest of the input for nobody.
+    std::string script;
+    for (int i = 0; i < 64; ++i)
+        script += analysis_request_json(make_request(request_kind::sweep,
+                                                     "g" + std::to_string(i)))
+                      .write() +
+                  "\n";
+    std::istringstream in(script);
+    failing_sink sink(4096);
+    std::ostream out(&sink);
+
+    auto served = std::async(std::launch::async, [&] { service.serve_stream(in, out); });
+    ASSERT_EQ(served.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "serve_stream did not stop after its output failed";
+    served.get();
+    EXPECT_FALSE(out.good());
+    EXPECT_LT(service.metrics().requests, 64u);
+}
+
 TEST(Service, StatsPayloadReflectsTraffic)
 {
     const signal_graph sg = c_oscillator_sg();
